@@ -15,8 +15,8 @@
 //! that backpressures the GPU by delaying SSR service.
 //!
 //! This crate composes the substrate crates into a simulated AMD
-//! A10-7850K-class SoC ([`Soc`]) and exposes every experiment of the
-//! paper's evaluation as a library function ([`experiments`]).
+//! A10-7850K-class SoC ([`Soc`]) and exposes the experiments no `.hiss`
+//! pack can express as library functions ([`experiments`]).
 //!
 //! # Quickstart
 //!

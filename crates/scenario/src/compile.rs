@@ -9,16 +9,16 @@
 //!
 //! with the first sweep axis as the outermost loop and replicas
 //! innermost. With no sweeps and one replica this is exactly the
-//! GPU-major `gpu × cpu` grid the figure modules use, so a scenario
-//! re-expressing Fig. 3 yields rows in the same order — and, because a
-//! cell's result is a pure function of its knobs, bit-identical values
-//! (`tests/scenarios.rs` pins this).
+//! GPU-major `gpu × cpu` grid of the paper's Fig. 3, and because a
+//! cell's result is a pure function of its knobs, its values are
+//! bit-identical to direct [`ExperimentBuilder`] runs (`tests/scenarios.rs`
+//! pins this).
 //!
 //! Every cell reuses the process-wide
 //! [`BaselineCache`] for its two normalisation
 //! baselines, and cells whose knobs are the paper's default
 //! configuration resolve the noisy run through the cache too (sharing it
-//! with the figure modules).
+//! across packs and the remaining `hiss::experiments` runners).
 
 use hiss::{
     BaselineCache, CoreId, DeviceKind, DeviceSpec, DmaParams, ExperimentBuilder, GpuAppSpec,
@@ -231,7 +231,7 @@ pub fn cell_metrics(cell: &Cell, run: &RunReport) -> MetricsRegistry {
 
 fn row_from_report(cell: &Cell, run: &RunReport, base: &RunReport, gpu_base: &RunReport) -> Row {
     // ubench's figure metric is SSR throughput; full applications use
-    // work throughput — identical to the fig3/fig6/pareto modules.
+    // work throughput (the paper's Fig. 3b/6/7 y-axes).
     let gpu_perf = if cell.gpu_app == "ubench" {
         run.ssr_rate_vs(gpu_base)
     } else {
@@ -538,11 +538,19 @@ gpu = ["sssp"]
         assert_eq!(rows.len(), 1);
         let r = &rows[0];
         let cfg = hiss::SystemConfig::a10_7850k();
-        let expected = hiss::experiments::fig3::fig3_with(&cfg, &["raytrace"], &["sssp"]);
+        let noisy = ExperimentBuilder::new(cfg)
+            .cpu_app("raytrace")
+            .gpu_app("sssp")
+            .run();
+        let base = ExperimentBuilder::new(cfg)
+            .cpu_app("raytrace")
+            .gpu_app_pinned("sssp")
+            .run();
+        let idle = ExperimentBuilder::new(cfg).gpu_app("sssp").run();
         assert_eq!(
             r.cpu_perf.unwrap().to_bits(),
-            expected[0].cpu_perf.to_bits()
+            noisy.cpu_perf_vs(&base).unwrap().to_bits()
         );
-        assert_eq!(r.gpu_perf.to_bits(), expected[0].gpu_perf.to_bits());
+        assert_eq!(r.gpu_perf.to_bits(), noisy.gpu_perf_vs(&idle).to_bits());
     }
 }

@@ -1,0 +1,467 @@
+//! Row → paper-layout renderers for the figures `.hiss` packs express:
+//! Fig. 3a/3b (`fig3.hiss`), Fig. 6 (`fig6.hiss`), Figs. 7/8
+//! (`pareto.hiss`, `fig8.hiss`) and Fig. 12 (`fig12.hiss`).
+//!
+//! The renderers only rearrange and fold the values a pack run already
+//! computed, so every figure agrees bit-for-bit with the rows (and the
+//! JSON-lines output) it comes from. Renderers that need a cell's typed
+//! knobs (its mitigation combination or QoS threshold) take the
+//! `(Cell, Row)` pairs [`run_pairs`] returns. `hiss-cli figures` is the
+//! front door that runs the packs and prints every artifact.
+
+use hiss::experiments::render_table;
+use hiss::Mitigation;
+
+use crate::compile::{expand, run, Cell, Row};
+use crate::spec::Scenario;
+
+/// Runs a pack and pairs every result row with the cell it came from.
+pub fn run_pairs(sc: &Scenario, quick: bool) -> Vec<(Cell, Row)> {
+    expand(sc, quick).into_iter().zip(run(sc, quick)).collect()
+}
+
+/// A three-decimal figure value, `-` when absent.
+fn cell3(value: Option<f64>) -> String {
+    value.map_or_else(|| "-".into(), |v| format!("{v:.3}"))
+}
+
+/// The distinct CPU applications of `rows`, in first-appearance order.
+fn cpu_apps<'a>(rows: impl Iterator<Item = &'a Row>) -> Vec<&'a str> {
+    let mut apps: Vec<&str> = Vec::new();
+    for r in rows {
+        if !apps.contains(&r.cpu_app.as_str()) {
+            apps.push(&r.cpu_app);
+        }
+    }
+    apps
+}
+
+/// Renders a Fig. 3 grid in the paper's layout: one line per CPU
+/// application (in pack order), one column per GPU application (sorted
+/// by name). `-` marks a missing cell or a `None` metric.
+pub fn fig3_grid(rows: &[Row], metric: impl Fn(&Row) -> Option<f64>) -> String {
+    let cpu = cpu_apps(rows.iter());
+    let mut gpu: Vec<&str> = rows.iter().map(|r| r.gpu_app.as_str()).collect();
+    gpu.sort_unstable();
+    gpu.dedup();
+    let mut header = vec!["CPU app"];
+    header.extend(&gpu);
+    let data: Vec<Vec<String>> = cpu
+        .iter()
+        .map(|c| {
+            let mut line = vec![c.to_string()];
+            line.extend(gpu.iter().map(|g| {
+                cell3(
+                    rows.iter()
+                        .find(|r| r.cpu_app == *c && r.gpu_app == *g)
+                        .and_then(&metric),
+                )
+            }));
+            line
+        })
+        .collect();
+    render_table(&header, &data)
+}
+
+/// The headline numbers §IV-A quotes from the Fig. 3 grid.
+#[derive(Debug, Clone, Copy)]
+pub struct Fig3Summary {
+    /// Worst CPU performance under a full GPU application (paper: 0.69,
+    /// fluidanimate with SSSP).
+    pub worst_cpu_full_apps: f64,
+    /// Mean CPU performance across the full-application cells.
+    pub mean_cpu_full_apps: f64,
+    /// Worst CPU performance under ubench (paper: 0.56, x264).
+    pub worst_cpu_ubench: f64,
+    /// Mean CPU performance under ubench (paper: 0.72).
+    pub mean_cpu_ubench: f64,
+    /// Worst GPU performance under CPU interference (paper: 0.82, SSSP
+    /// with streamcluster).
+    pub worst_gpu: f64,
+    /// Mean GPU performance across the grid (paper: 0.96).
+    pub mean_gpu: f64,
+}
+
+/// Reduces Fig. 3 rows to [`Fig3Summary`]. Cells whose CPU application
+/// did not finish have no `cpu_perf` and are left out of the CPU terms.
+pub fn fig3_summary(rows: &[Row]) -> Fig3Summary {
+    let cpu = |ubench: bool| -> Vec<f64> {
+        rows.iter()
+            .filter(|r| (r.gpu_app == "ubench") == ubench)
+            .filter_map(|r| r.cpu_perf)
+            .collect()
+    };
+    let (full, ubench) = (cpu(false), cpu(true));
+    let gpu: Vec<f64> = rows.iter().map(|r| r.gpu_perf).collect();
+    let min = |v: &[f64]| v.iter().copied().fold(f64::INFINITY, f64::min);
+    Fig3Summary {
+        worst_cpu_full_apps: min(&full),
+        mean_cpu_full_apps: hiss_sim::mean(&full),
+        worst_cpu_ubench: min(&ubench),
+        mean_cpu_ubench: hiss_sim::mean(&ubench),
+        worst_gpu: min(&gpu),
+        mean_gpu: hiss_sim::mean(&gpu),
+    }
+}
+
+/// Fig. 6 ratios of `treated` against `default`, the same pairing under
+/// the default configuration: the CPU runtime ratio (`None` unless both
+/// CPU applications finished) and the GPU ratio (SSR rate for ubench,
+/// work throughput otherwise). Bit-identical to
+/// `RunReport::{cpu_perf_vs, ssr_rate_vs, gpu_perf_vs}` on the two runs.
+pub fn ratio_vs_default(treated: &Row, default: &Row) -> (Option<f64>, f64) {
+    let cpu = match (treated.cpu_runtime_ns, default.cpu_runtime_ns) {
+        (Some(mine), Some(base)) => Some(base as f64 / mine as f64),
+        _ => None,
+    };
+    let ratio = |mine: f64, base: f64| if base == 0.0 { 0.0 } else { mine / base };
+    let gpu = if treated.gpu_app == "ubench" {
+        ratio(treated.ssr_rate, default.ssr_rate)
+    } else {
+        ratio(treated.gpu_throughput, default.gpu_throughput)
+    };
+    (cpu, gpu)
+}
+
+/// Renders Fig. 6 from a pack sweeping `mitigation` over `"default"`
+/// and single techniques: one `(legend label, table)` panel pair per
+/// non-default combination, in sweep order, each cell's ratios taken
+/// against the default cell of the same pairing ([`ratio_vs_default`]).
+pub fn fig6_panels(pairs: &[(Cell, Row)]) -> Vec<(String, String)> {
+    let mut techniques: Vec<Mitigation> = Vec::new();
+    for (c, _) in pairs {
+        let m = c.knobs.mitigation;
+        if m != Mitigation::DEFAULT && !techniques.contains(&m) {
+            techniques.push(m);
+        }
+    }
+    techniques
+        .into_iter()
+        .map(|m| {
+            let data: Vec<Vec<String>> = pairs
+                .iter()
+                .filter(|(c, _)| c.knobs.mitigation == m)
+                .map(|(c, treated)| {
+                    let default = pairs.iter().find(|(d, _)| {
+                        d.knobs.mitigation == Mitigation::DEFAULT
+                            && (&d.cpu_app, &d.gpu_app, d.replica)
+                                == (&c.cpu_app, &c.gpu_app, c.replica)
+                    });
+                    let ratios = default.map(|(_, d)| ratio_vs_default(treated, d));
+                    vec![
+                        m.label(),
+                        c.cpu_app.clone(),
+                        c.gpu_app.clone(),
+                        cell3(ratios.and_then(|r| r.0)),
+                        cell3(ratios.map(|r| r.1)),
+                    ]
+                })
+                .collect();
+            let table = render_table(
+                &["technique", "CPU app", "GPU app", "CPU ratio", "GPU ratio"],
+                &data,
+            );
+            (m.label(), table)
+        })
+        .collect()
+}
+
+/// One point of a Figs. 7/8 Pareto chart.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ParetoPoint {
+    /// The mitigation combination.
+    pub mitigation: Mitigation,
+    /// Geometric mean of the combination's normalised CPU performance
+    /// (x-axis, right is better).
+    pub cpu_geomean: f64,
+    /// Geometric mean of its normalised GPU performance (y-axis, up is
+    /// better).
+    pub gpu_geomean: f64,
+}
+
+impl ParetoPoint {
+    /// `true` if `other` is at least as good on both axes and strictly
+    /// better on one.
+    pub fn dominated_by(&self, other: &ParetoPoint) -> bool {
+        other.cpu_geomean >= self.cpu_geomean
+            && other.gpu_geomean >= self.gpu_geomean
+            && (other.cpu_geomean > self.cpu_geomean || other.gpu_geomean > self.gpu_geomean)
+    }
+}
+
+/// Folds a `mitigation` sweep into one point per swept combination, in
+/// [`Mitigation::all_combinations`] order (the paper's legend order,
+/// whatever the sweep order). Each geomean runs over the combination's
+/// rows in grid order; cells whose CPU application did not finish are
+/// left out of the CPU geomean.
+pub fn pareto_points(pairs: &[(Cell, Row)]) -> Vec<ParetoPoint> {
+    Mitigation::all_combinations()
+        .into_iter()
+        .filter_map(|m| {
+            let rows: Vec<&Row> = pairs
+                .iter()
+                .filter(|(c, _)| c.knobs.mitigation == m)
+                .map(|(_, r)| r)
+                .collect();
+            if rows.is_empty() {
+                return None;
+            }
+            let cpu: Vec<f64> = rows.iter().filter_map(|r| r.cpu_perf).collect();
+            let gpu: Vec<f64> = rows.iter().map(|r| r.gpu_perf).collect();
+            Some(ParetoPoint {
+                mitigation: m,
+                cpu_geomean: hiss_sim::geomean(&cpu),
+                gpu_geomean: hiss_sim::geomean(&gpu),
+            })
+        })
+        .collect()
+}
+
+/// Marks the Pareto-optimal subset of `points`.
+pub fn pareto_frontier(points: &[ParetoPoint]) -> Vec<bool> {
+    points
+        .iter()
+        .map(|p| !points.iter().any(|q| p.dominated_by(q)))
+        .collect()
+}
+
+/// Renders a Pareto chart as a table, flagging frontier points.
+pub fn render_pareto(points: &[ParetoPoint]) -> String {
+    let data: Vec<Vec<String>> = points
+        .iter()
+        .zip(pareto_frontier(points))
+        .map(|(p, on)| {
+            vec![
+                p.mitigation.label(),
+                format!("{:.3}", p.cpu_geomean),
+                format!("{:.3}", p.gpu_geomean),
+                if on { "pareto".into() } else { String::new() },
+            ]
+        })
+        .collect();
+    render_table(&["combination", "CPU geomean", "GPU geomean", ""], &data)
+}
+
+/// Renders Fig. 12 from a `qos_percent` sweep against ubench: one line
+/// per (CPU application, threshold), CPU-major, thresholds in sweep
+/// order. `0` is the governor-off `default` bar and `x` is `th_x`.
+pub fn render_fig12(pairs: &[(Cell, Row)]) -> String {
+    let data: Vec<Vec<String>> = cpu_apps(pairs.iter().map(|(_, r)| r))
+        .into_iter()
+        .flat_map(|cpu| pairs.iter().filter(move |(c, _)| c.cpu_app == cpu))
+        .map(|(c, r)| {
+            let pct = c.knobs.qos_percent;
+            let throttle = if pct == 0.0 {
+                "default".to_string()
+            } else {
+                format!("th_{pct}")
+            };
+            vec![
+                c.cpu_app.clone(),
+                throttle,
+                cell3(r.cpu_perf),
+                format!("{:.3}", r.gpu_perf),
+                format!("{:.1}%", r.ssr_overhead * 100.0),
+            ]
+        })
+        .collect();
+    render_table(
+        &[
+            "CPU app",
+            "throttle",
+            "CPU perf",
+            "ubench perf",
+            "SSR overhead",
+        ],
+        &data,
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::spec::Knobs;
+
+    fn row(cpu_app: &str, gpu_app: &str, cpu_perf: f64, gpu_perf: f64) -> Row {
+        Row {
+            cpu_app: cpu_app.into(),
+            gpu_app: gpu_app.into(),
+            cpu_perf: Some(cpu_perf),
+            gpu_perf,
+            cpu_runtime_ns: Some(1_000),
+            gpu_throughput: 0.5,
+            ssr_rate: 1_000.0,
+            axes: Vec::new(),
+            replica: 0,
+            ssrs_serviced: 0,
+            mean_ssr_latency_us: 0.0,
+            p99_ssr_latency_us: 0.0,
+            cc6_residency: 0.0,
+            ssr_overhead: 0.0,
+            ipis: 0,
+            qos_deferrals: 0,
+            aux_ssrs_raised: 0,
+            critical_p99_latency_us: 0.0,
+            events_pushed: 0,
+            events_popped: 0,
+        }
+    }
+
+    fn pair(m: Mitigation, r: Row) -> (Cell, Row) {
+        knob_pair(
+            Knobs {
+                mitigation: m,
+                ..Knobs::default()
+            },
+            r,
+        )
+    }
+
+    fn knob_pair(knobs: Knobs, r: Row) -> (Cell, Row) {
+        let cell = Cell {
+            cpu_app: r.cpu_app.clone(),
+            gpu_app: r.gpu_app.clone(),
+            axes: Vec::new(),
+            replica: 0,
+            knobs,
+            topology: None,
+        };
+        (cell, r)
+    }
+
+    fn point(cpu: f64, gpu: f64) -> ParetoPoint {
+        ParetoPoint {
+            mitigation: Mitigation::DEFAULT,
+            cpu_geomean: cpu,
+            gpu_geomean: gpu,
+        }
+    }
+
+    #[test]
+    fn render_produces_grid() {
+        let rows = vec![row("x264", "ubench", 0.56, 0.97)];
+        let text = fig3_grid(&rows, |r| r.cpu_perf);
+        assert!(text.contains("x264"));
+        assert!(text.contains("0.560"));
+        // Columns are GPU apps sorted by name; a missing cell renders `-`.
+        let rows = vec![
+            row("x264", "ubench", 0.5, 1.0),
+            row("vips", "bfs", 0.9, 1.0),
+        ];
+        let text = fig3_grid(&rows, |r| r.cpu_perf);
+        let lines: Vec<&str> = text.lines().collect();
+        assert!(lines[0].ends_with("bfs  ubench"), "{text}");
+        let x264: Vec<&str> = lines[2].split_whitespace().collect();
+        assert_eq!(x264, ["x264", "-", "0.500"], "{text}");
+    }
+
+    #[test]
+    fn frontier_marks_non_dominated_points() {
+        let pts = vec![
+            point(0.5, 1.8),
+            point(0.7, 1.0),
+            point(0.6, 0.9),
+            point(0.4, 0.5),
+        ];
+        assert_eq!(pareto_frontier(&pts), vec![true, true, false, false]);
+    }
+
+    #[test]
+    fn dominance_is_strict() {
+        let a = point(0.5, 1.0);
+        let b = point(0.5, 1.0);
+        assert!(!a.dominated_by(&b));
+        assert!(a.dominated_by(&point(0.5, 1.1)));
+    }
+
+    /// The fold groups rows by combination, emits points in legend order
+    /// whatever the sweep order, and takes plain geometric means:
+    /// √(0.25·1.0) = 0.5 and √(4·1) = 2 for `mono`, √(0.49·0.81) = 0.63
+    /// and 1 for `default`.
+    #[test]
+    fn pareto_fold_matches_a_hand_computed_case() {
+        let mono = Mitigation {
+            monolithic_bottom_half: true,
+            ..Mitigation::DEFAULT
+        };
+        let pairs = vec![
+            pair(mono, row("x264", "ubench", 0.25, 4.0)),
+            pair(mono, row("vips", "ubench", 1.0, 1.0)),
+            pair(Mitigation::DEFAULT, row("x264", "ubench", 0.49, 1.0)),
+            pair(Mitigation::DEFAULT, row("vips", "ubench", 0.81, 1.0)),
+        ];
+        let pts = pareto_points(&pairs);
+        assert_eq!(pts.len(), 2);
+        assert_eq!(pts[0].mitigation, Mitigation::DEFAULT);
+        assert_eq!(pts[1].mitigation, mono);
+        assert!((pts[0].cpu_geomean - 0.63).abs() < 1e-12, "{pts:?}");
+        assert!((pts[0].gpu_geomean - 1.0).abs() < 1e-12, "{pts:?}");
+        assert!((pts[1].cpu_geomean - 0.5).abs() < 1e-12, "{pts:?}");
+        assert!((pts[1].gpu_geomean - 2.0).abs() < 1e-12, "{pts:?}");
+        // Neither dominates the other: both sit on the frontier.
+        assert_eq!(pareto_frontier(&pts), vec![true, true]);
+        let text = render_pareto(&pts);
+        assert!(text.contains("Monolithic_bottom_half") && text.contains("pareto"));
+    }
+
+    #[test]
+    fn fig6_ratios_pair_each_cell_with_its_default_twin() {
+        let steer = Mitigation {
+            steer_single_core: true,
+            ..Mitigation::DEFAULT
+        };
+        let mut treated = row("x264", "sssp", 0.5, 0.5);
+        treated.cpu_runtime_ns = Some(800);
+        treated.gpu_throughput = 0.25;
+        let mut ubench = row("x264", "ubench", 0.5, 0.5);
+        ubench.ssr_rate = 3_000.0;
+        let pairs = vec![
+            pair(Mitigation::DEFAULT, row("x264", "sssp", 0.5, 0.5)),
+            pair(Mitigation::DEFAULT, row("x264", "ubench", 0.5, 0.5)),
+            pair(steer, treated.clone()),
+            pair(steer, ubench.clone()),
+        ];
+        let base = row("x264", "sssp", 0.5, 0.5);
+        assert_eq!(ratio_vs_default(&treated, &base), (Some(1.25), 0.5));
+        assert_eq!(ratio_vs_default(&ubench, &base).1, 3.0);
+        let panels = fig6_panels(&pairs);
+        assert_eq!(panels.len(), 1);
+        assert_eq!(panels[0].0, "Intr_to_single_core");
+        assert!(panels[0].1.contains("1.250") && panels[0].1.contains("3.000"));
+    }
+
+    /// A sweep-major `qos_percent` grid prints CPU-major, thresholds in
+    /// sweep order, with `0` as the governor-off `default` bar.
+    #[test]
+    fn fig12_regroups_cpu_major_with_threshold_labels() {
+        let qos = |pct: f64, cpu: &str| {
+            let knobs = Knobs {
+                qos_percent: pct,
+                ..Knobs::default()
+            };
+            knob_pair(knobs, row(cpu, "ubench", 0.5, 0.5))
+        };
+        let pairs = vec![
+            qos(0.0, "x264"),
+            qos(0.0, "vips"),
+            qos(2.5, "x264"),
+            qos(2.5, "vips"),
+        ];
+        let text = render_fig12(&pairs);
+        let lines: Vec<Vec<&str>> = text
+            .lines()
+            .skip(2)
+            .map(|l| l.split_whitespace().take(2).collect())
+            .collect();
+        assert_eq!(
+            lines,
+            [
+                ["x264", "default"],
+                ["x264", "th_2.5"],
+                ["vips", "default"],
+                ["vips", "th_2.5"]
+            ],
+            "{text}"
+        );
+    }
+}

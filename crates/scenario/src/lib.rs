@@ -1,9 +1,8 @@
 //! # hiss-scenario — declarative experiment scenarios
 //!
-//! Every experiment in `hiss::experiments` is a hard-coded Rust module;
-//! exploring a configuration the paper didn't plot used to mean writing
-//! and recompiling Rust. This crate adds a data-driven layer on top of
-//! the same engine:
+//! A `.hiss` pack is the one way to define an experiment: exploring a
+//! configuration the paper didn't plot needs no Rust. This crate is the
+//! data-driven layer on top of the simulation engine:
 //!
 //! - a **`.hiss` file format** (a dependency-free TOML subset,
 //!   [`parse`]) declaring a full experiment: system-config overrides,
@@ -14,10 +13,12 @@
 //! - a **batch compiler** ([`compile`]) lowering a scenario into pure
 //!   jobs on the [`hiss::runner`] pool, reusing the process-wide
 //!   [`hiss::BaselineCache`],
-//! - **emitters** ([`output`]) for JSON-lines and ASCII tables, and
+//! - **emitters** ([`output`]) for JSON-lines and ASCII tables,
 //! - an **expect checker** ([`expect`]) that turns the committed
 //!   `scenarios/` library into a golden regression harness
-//!   (`tests/scenarios.rs`).
+//!   (`tests/scenarios.rs`), and
+//! - **figure renderers** ([`figures`]) printing pack rows in the
+//!   paper's Fig. 3, 6, 7, 8 and 12 layouts for `hiss-cli figures`.
 //!
 //! # Example
 //!
@@ -43,6 +44,7 @@
 pub mod bench_suite;
 pub mod compile;
 pub mod expect;
+pub mod figures;
 pub mod lint;
 pub mod output;
 pub mod parse;

@@ -133,29 +133,8 @@ pub fn to_table(rows: &[Row]) -> String {
         data.push(row);
     }
 
-    let mut widths: Vec<usize> = header.iter().map(String::len).collect();
-    for row in &data {
-        for (i, cell) in row.iter().enumerate() {
-            widths[i] = widths[i].max(cell.len());
-        }
-    }
-    let fmt_row = |cells: &[String]| -> String {
-        cells
-            .iter()
-            .zip(&widths)
-            .map(|(c, w)| format!("{c:>w$}"))
-            .collect::<Vec<_>>()
-            .join("  ")
-    };
-    let mut out = fmt_row(&header);
-    out.push('\n');
-    out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * widths.len().saturating_sub(1)));
-    out.push('\n');
-    for row in &data {
-        out.push_str(&fmt_row(row));
-        out.push('\n');
-    }
-    out
+    let header: Vec<&str> = header.iter().map(String::as_str).collect();
+    hiss::experiments::render_table(&header, &data)
 }
 
 #[cfg(test)]

@@ -25,6 +25,11 @@
 //!                 [--metrics <path>] [--shutdown]
 //! ```
 //!
+//! `figures` regenerates every table and figure of the paper's
+//! evaluation in paper order, running the figure packs under
+//! `scenarios/` (so it runs from the repository root); `--quick` uses
+//! each pack's quick subsets.
+//!
 //! `report` renders a metrics snapshot file — one JSON object per line,
 //! as written by `run --metrics` / `scenario run --metrics` — as ASCII
 //! tables, or as JSON-lines (one metric per line) with `--json`.
@@ -67,11 +72,12 @@ use std::env;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use hiss::experiments::{fig12, fig3, fig4, fig9, tables};
+use hiss::experiments::{extensions, fig4, fig5, fig9, section4c, tables};
 use hiss::{ExperimentBuilder, Mitigation, Ns, QosParams, RunReport, SystemConfig};
 use hiss_bench::baseline::{self, BaselineFile, SuiteSnapshot};
 use hiss_bench::compare;
 use hiss_scenario as scenario;
+use scenario::figures;
 
 /// Count allocation traffic (per thread) so the bench engine suite can
 /// report deterministic `bench.alloc.*` counters. Pure delegation to
@@ -1017,6 +1023,138 @@ fn submit_command(argv: Vec<String>) -> ExitCode {
     code
 }
 
+fn banner(title: &str) {
+    let rule = "=".repeat(74);
+    println!("\n{rule}\n{title}\n{rule}");
+}
+
+/// `hiss-cli figures [--quick]` — regenerates every table and figure of
+/// the paper's evaluation, in paper order. Figs. 3, 6, 7, 8 and 12 run
+/// their `scenarios/` packs (relative to the working directory; `--quick`
+/// uses each pack's quick subsets) and render through [`figures`];
+/// Figs. 4 and 5 take their workload lists from `fig3.hiss`; the rest
+/// call the `hiss::experiments` runners.
+fn print_figures(cfg: SystemConfig, quick: bool) -> Result<(), String> {
+    let pack = |name: &str| {
+        let path = Path::new("scenarios").join(format!("{name}.hiss"));
+        scenario::load(&path).map_err(|e| format!("{}: {e}", path.display()))
+    };
+    let (fig3, fig6, fig7, fig8, fig12) = (
+        pack("fig3")?,
+        pack("fig6")?,
+        pack("pareto")?,
+        pack("fig8")?,
+        pack("fig12")?,
+    );
+    let cpu: Vec<&str> = fig3.cpu_apps(quick).iter().map(String::as_str).collect();
+    let gpu: Vec<&str> = fig3.gpu_apps(quick).iter().map(String::as_str).collect();
+    let pairs = |sc| figures::run_pairs(sc, quick);
+
+    banner("Table I — GPU system service requests");
+    println!("{}", tables::render_table1(&tables::table1(&cfg)));
+
+    banner("Table II — test system configuration");
+    println!("{}", tables::render_table2(&tables::table2(&cfg)));
+
+    banner("Fig. 3a — normalised CPU application performance under GPU SSRs");
+    let rows3 = scenario::run(&fig3, quick);
+    println!("{}", figures::fig3_grid(&rows3, |r| r.cpu_perf));
+
+    banner("Fig. 3b — normalised GPU performance under CPU interference");
+    println!("{}", figures::fig3_grid(&rows3, |r| Some(r.gpu_perf)));
+    println!("{:#?}", figures::fig3_summary(&rows3));
+
+    banner("Fig. 4 — CC6 residency with and without SSRs");
+    println!("{}", fig4::render(&fig4::fig4_with(&cfg, &gpu)));
+
+    banner("Fig. 5 — µarchitectural effects of ubench SSRs");
+    println!("{}", fig5::render(&fig5::fig5_with(&cfg, &cpu)));
+
+    banner("§IV-C — interrupt distribution, IPIs, coalescing");
+    println!("{}", section4c::render(&section4c::section4c(&cfg)));
+
+    for (label, table) in figures::fig6_panels(&pairs(&fig6)) {
+        banner(&format!("Fig. 6 — {label} (CPU and GPU ratios vs default)"));
+        println!("{table}");
+    }
+
+    banner("Fig. 7 — Pareto: mitigation combinations under ubench");
+    println!(
+        "{}",
+        figures::render_pareto(&figures::pareto_points(&pairs(&fig7)))
+    );
+
+    banner("Fig. 8 — Pareto: mitigation combinations, full GPU applications");
+    println!(
+        "{}",
+        figures::render_pareto(&figures::pareto_points(&pairs(&fig8)))
+    );
+
+    banner("Fig. 9 — mitigation techniques vs CC6 residency (ubench)");
+    println!("{}", fig9::render(&fig9::fig9(&cfg)));
+
+    banner("Fig. 12 — QoS throttling (default / th_25 / th_5 / th_1)");
+    println!("{}", figures::render_fig12(&pairs(&fig12)));
+
+    banner("Extension — multi-accelerator scaling (x264 vs N × sssp)");
+    println!(
+        "{}",
+        extensions::render_scaling(&extensions::multi_gpu_scaling(&cfg, "x264", "sssp", 4))
+    );
+
+    banner("Extension — coalescing window sweep (x264 vs ubench)");
+    for w in extensions::coalescing_window_sweep(&cfg, "x264", "ubench", &[0, 2, 5, 9, 13]) {
+        println!(
+            "  window {:>8}: CPU {:.3}  GPU ratio {:.3}  interrupts/SSR {:.2}",
+            w.window.to_string(),
+            w.cpu_perf,
+            w.gpu_ratio,
+            w.interrupts_per_ssr
+        );
+    }
+
+    banner("Extension — outstanding-SSR-limit sweep (QoS leverage)");
+    for l in extensions::outstanding_limit_sweep(&cfg, &[8, 16, 64, 256]) {
+        println!(
+            "  limit {:>4}: throttled ubench at {:.1}% of unhindered",
+            l.limit,
+            l.throttled_ratio * 100.0
+        );
+    }
+
+    banner("Extension — adaptive QoS threshold (x264 within 10%)");
+    let a = extensions::adaptive_qos(&cfg, "x264", "ubench", 0.10, 5);
+    println!(
+        "  threshold th_{:.2}: CPU {:.3}, ubench {:.3}",
+        a.threshold_percent, a.cpu_perf, a.gpu_perf
+    );
+
+    banner("Extension — module pairing (shared-L2 siblings, steered handlers)");
+    let mp = extensions::module_pairing(&cfg, "ubench");
+    println!(
+        "  victim on core 0: steer to sibling core 1 -> {:.3}; steer to remote core 2 -> {:.3}",
+        mp.sibling_perf, mp.remote_perf
+    );
+
+    banner("Replication — x264 + ubench over 3 seeds (paper §III methodology)");
+    let pair = ExperimentBuilder::new(cfg)
+        .cpu_app("x264")
+        .gpu_app("ubench");
+    let reps = hiss::replicate(pair, 3);
+    println!(
+        "  runtime {:.3} ms ± {:.3} (95% CI over {} seeds); SSR rate {:.0} ± {:.0}",
+        reps.cpu_runtime_s.mean * 1e3,
+        reps.cpu_runtime_s.ci95(reps.n) * 1e3,
+        reps.n,
+        reps.ssr_rate.mean,
+        reps.ssr_rate.ci95(reps.n)
+    );
+
+    let mode = if quick { "quick" } else { "full" };
+    println!("\nAll artifacts regenerated ({mode} mode).");
+    Ok(())
+}
+
 fn main() -> ExitCode {
     let mut argv: Vec<String> = env::args().skip(1).collect();
     if argv.is_empty() {
@@ -1133,29 +1271,13 @@ fn main() -> ExitCode {
             }
             ExitCode::SUCCESS
         }
-        "figures" => {
-            // A curated subset here; the full harness is
-            // `cargo bench -p hiss-bench --bench figures`.
-            let quick = args.flag("--quick");
-            let cpu: Vec<&str> = if quick {
-                hiss::experiments::test_cpu_subset()
-            } else {
-                hiss::parsec_suite().iter().map(|s| s.name).collect()
-            };
-            let gpu: Vec<&str> = if quick {
-                hiss::experiments::test_gpu_subset()
-            } else {
-                hiss::gpu_suite().iter().map(|s| s.name).collect()
-            };
-            println!("{}", tables::render_table2(&tables::table2(&cfg)));
-            let rows = fig3::fig3_with(&cfg, &cpu, &gpu);
-            println!("Fig. 3a\n{}", fig3::render(&rows, |r| r.cpu_perf));
-            println!("Fig. 3b\n{}", fig3::render(&rows, |r| r.gpu_perf));
-            println!("Fig. 4\n{}", fig4::render(&fig4::fig4_with(&cfg, &gpu)));
-            println!("Fig. 9\n{}", fig9::render(&fig9::fig9(&cfg)));
-            println!("Fig. 12\n{}", fig12::render(&fig12::fig12_with(&cfg, &cpu)));
-            ExitCode::SUCCESS
-        }
+        "figures" => match print_figures(cfg, args.flag("--quick")) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(e) => {
+                eprintln!("{e}");
+                ExitCode::FAILURE
+            }
+        },
         _ => usage(),
     }
 }

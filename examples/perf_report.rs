@@ -1,7 +1,7 @@
 //! Criterion-free performance report for the experiment engine.
 //!
-//! Times the full Fig. 3 grid (13 CPU × 6 GPU applications, the
-//! workhorse of every evaluation artifact) three ways:
+//! Times the full `scenarios/fig3.hiss` grid (13 CPU × 6 GPU
+//! applications, the workhorse of every evaluation artifact) three ways:
 //!
 //! 1. **serial, cold cache** — `HISS_THREADS=1`, `BaselineCache` empty:
 //!    the pre-runner behaviour;
@@ -24,7 +24,7 @@
 //! Run with:
 //!
 //! ```text
-//! cargo run --release --example perf_report [-- --out <path>]
+//! cargo run --release --example perf_report -p hiss-scenario [-- --out <path>]
 //! ```
 // Wall-clock timing is this example's purpose; it reports host
 // performance, not simulation results.
@@ -32,8 +32,8 @@
 
 use std::time::Instant;
 
-use hiss::experiments::{fig3, BaselineCache};
-use hiss::{ExperimentBuilder, SystemConfig};
+use hiss::{BaselineCache, ExperimentBuilder, SystemConfig};
+use hiss_scenario::Scenario;
 
 /// Counts allocation traffic (per thread) so the engine-run row can
 /// report allocs/bytes per run; pure delegation to the system allocator
@@ -71,13 +71,13 @@ fn engine_run(cfg: &SystemConfig) -> EngineRun {
     }
 }
 
-fn time_fig3(cfg: &SystemConfig, threads: usize, clear_cache: bool) -> (f64, usize) {
+fn time_fig3(fig3: &Scenario, threads: usize, clear_cache: bool) -> (f64, usize) {
     std::env::set_var("HISS_THREADS", threads.to_string());
     if clear_cache {
         BaselineCache::global().clear();
     }
     let start = Instant::now();
-    let rows = fig3::fig3(cfg);
+    let rows = hiss_scenario::run(fig3, false);
     let secs = start.elapsed().as_secs_f64();
     std::env::remove_var("HISS_THREADS");
     (secs, rows.len())
@@ -131,6 +131,8 @@ fn out_path() -> std::path::PathBuf {
 fn main() {
     let out = out_path();
     let cfg = SystemConfig::a10_7850k();
+    let fig3_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/fig3.hiss");
+    let fig3 = hiss_scenario::load(std::path::Path::new(fig3_path)).expect("fig3.hiss loads");
     let host_workers = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
@@ -140,9 +142,9 @@ fn main() {
     // independent win).
     let workers = host_workers.max(4);
 
-    let (serial_cold_s, cells) = time_fig3(&cfg, 1, true);
-    let (parallel_cold_s, _) = time_fig3(&cfg, workers, true);
-    let (parallel_warm_s, _) = time_fig3(&cfg, workers, false);
+    let (serial_cold_s, cells) = time_fig3(&fig3, 1, true);
+    let (parallel_cold_s, _) = time_fig3(&fig3, workers, true);
+    let (parallel_warm_s, _) = time_fig3(&fig3, workers, false);
 
     let speedup_parallel = serial_cold_s / parallel_cold_s;
     let speedup_warm = serial_cold_s / parallel_warm_s;

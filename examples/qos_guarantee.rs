@@ -6,18 +6,30 @@
 //! (the paper's future-work extension).
 //!
 //! ```text
-//! cargo run --release --example qos_guarantee
+//! cargo run --release --example qos_guarantee -p hiss-scenario
 //! ```
 
-use hiss::experiments::{extensions, fig12};
+use hiss::experiments::extensions;
 use hiss::SystemConfig;
+use hiss_scenario::{figures, Scenario};
+
+/// The Fig. 12 ladder (`scenarios/fig12.hiss`) on three victims.
+const PACK: &str = r#"
+[scenario]
+name = "qos-guarantee"
+[workload]
+cpu = ["x264", "fluidanimate", "swaptions"]
+gpu = ["ubench"]
+[sweep]
+qos_percent = [0, 25, 5, 1]
+"#;
 
 fn main() {
     let cfg = SystemConfig::a10_7850k();
 
     println!("Fig. 12 — QoS throttling sweep (victims vs ubench)\n");
-    let rows = fig12::fig12_with(&cfg, &["x264", "fluidanimate", "swaptions"]);
-    println!("{}", fig12::render(&rows));
+    let sc = Scenario::from_str(PACK).expect("example pack parses");
+    println!("{}", figures::render_fig12(&figures::run_pairs(&sc, false)));
     println!("Reading: th_1 restores CPU performance to within a few percent");
     println!("of the no-SSR baseline while accelerator throughput collapses —");
     println!("the configured ceiling is an enforced guarantee, not a hint.\n");

@@ -11,6 +11,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use hiss_bench::baseline::{self, SuiteSnapshot};
 
@@ -18,6 +19,17 @@ use hiss_bench::baseline::{self, SuiteSnapshot};
 /// library-level suite runs in this harness see real counters too.
 #[global_allocator]
 static ALLOC: hiss_bench::CountingAlloc = hiss_bench::CountingAlloc::new();
+
+/// Serializes the tests that touch the process-wide `BaselineCache`:
+/// one clears it, and a suite run on another test thread would count
+/// the entries it lost (`bench.cache.entries`).
+static BASELINE_CACHE: Mutex<()> = Mutex::new(());
+
+fn lock_baseline_cache() -> MutexGuard<'static, ()> {
+    BASELINE_CACHE
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
 
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -65,6 +77,7 @@ fn committed_baseline_lints_clean_against_the_schema() {
 /// gate performs, without process overhead.
 #[test]
 fn fresh_library_run_matches_the_committed_baseline() {
+    let _cache = lock_baseline_cache();
     let snaps = hiss_serve::suite::run_all(&repo_root()).unwrap();
     let cmp = hiss_bench::compare::compare(&committed_baseline(), &snaps);
     let shown: Vec<String> = cmp
@@ -184,6 +197,7 @@ fn bench_run_stdout_is_byte_identical_across_thread_counts() {
 /// level and exercises the exact inputs in-process instead.
 #[test]
 fn perf_report_example_still_emits_every_engine_key() {
+    let _cache = lock_baseline_cache();
     let source = std::fs::read_to_string(repo_root().join("examples/perf_report.rs")).unwrap();
     for key in [
         "engine_events_per_sec",

@@ -5,12 +5,51 @@
 //! authors' testbed — the bands check that *who wins, by roughly what
 //! factor, and where the crossovers fall* reproduce (see EXPERIMENTS.md
 //! for the per-figure comparison and known deviations).
+//!
+//! Grid experiments run as in-memory `.hiss` packs, exactly the path the
+//! committed `scenarios/` packs and `hiss-cli figures` take; runs a pack
+//! cannot express (GPU-alone, pinned GPUs, recalibrated constants) use
+//! [`ExperimentBuilder`] directly.
 
-use hiss::experiments::{fig12, fig3, fig4, section4c};
-use hiss::{ExperimentBuilder, Mitigation, SystemConfig};
+use hiss::experiments::{fig4, section4c};
+use hiss::{ExperimentBuilder, Mitigation, Ns, SystemConfig};
+use hiss_scenario::figures::{self, ratio_vs_default};
+use hiss_scenario::{Cell, Row, Scenario};
 
 fn cfg() -> SystemConfig {
     SystemConfig::a10_7850k()
+}
+
+/// Runs an in-memory pack over the `cpu` × `gpu` grid plus `extra`
+/// sections (e.g. a `[sweep]`), pairing each row with its cell.
+fn grid(cpu: &[&str], gpu: &[&str], extra: &str) -> Vec<(Cell, Row)> {
+    let list = |apps: &[&str]| {
+        apps.iter()
+            .map(|a| format!("{a:?}"))
+            .collect::<Vec<_>>()
+            .join(", ")
+    };
+    let text = format!(
+        "[scenario]\nname = \"calibration\"\n[workload]\ncpu = [{}]\ngpu = [{}]\n{extra}",
+        list(cpu),
+        list(gpu)
+    );
+    let sc = Scenario::from_str(&text).expect("calibration pack parses");
+    figures::run_pairs(&sc, false)
+}
+
+/// [`grid`] rows with no sweep (the Fig. 3 default configuration).
+fn fig3_rows(cpu: &[&str], gpu: &[&str]) -> Vec<Row> {
+    grid(cpu, gpu, "").into_iter().map(|(_, r)| r).collect()
+}
+
+fn cpu_perf(r: &Row) -> f64 {
+    r.cpu_perf
+        .expect("calibration cells finish the CPU application")
+}
+
+fn parsec() -> Vec<&'static str> {
+    hiss::parsec_suite().iter().map(|s| s.name).collect()
 }
 
 /// §I / §IV-A: "GPU system service requests can degrade contemporaneous
@@ -18,9 +57,8 @@ fn cfg() -> SystemConfig {
 /// 28% on average".
 #[test]
 fn ubench_cpu_degradation_band() {
-    let cpu: Vec<&str> = hiss::parsec_suite().iter().map(|s| s.name).collect();
-    let rows = fig3::fig3_with(&cfg(), &cpu, &["ubench"]);
-    let s = fig3::summarize(&rows);
+    let rows = fig3_rows(&parsec(), &["ubench"]);
+    let s = figures::fig3_summary(&rows);
     assert!(
         (0.50..=0.80).contains(&s.worst_cpu_ubench),
         "worst-case CPU perf under ubench: {} (paper: 0.56)",
@@ -34,7 +72,7 @@ fn ubench_cpu_degradation_band() {
     // The worst-affected application is one of the µarch-sensitive ones.
     let worst = rows
         .iter()
-        .min_by(|a, b| a.cpu_perf.total_cmp(&b.cpu_perf))
+        .min_by(|a, b| cpu_perf(a).total_cmp(&cpu_perf(b)))
         .unwrap();
     assert!(
         ["x264", "fluidanimate"].contains(&worst.cpu_app.as_str()),
@@ -44,7 +82,7 @@ fn ubench_cpu_degradation_band() {
     // raytrace (single-threaded) is the least affected (paper §IV-A).
     let best = rows
         .iter()
-        .max_by(|a, b| a.cpu_perf.total_cmp(&b.cpu_perf))
+        .max_by(|a, b| cpu_perf(a).total_cmp(&cpu_perf(b)))
         .unwrap();
     assert_eq!(best.cpu_app, "raytrace");
 }
@@ -53,8 +91,7 @@ fn ubench_cpu_degradation_band() {
 /// SSSP), 12% on average for the worst generator.
 #[test]
 fn full_app_cpu_degradation_band() {
-    let rows = fig3::fig3_with(
-        &cfg(),
+    let rows = fig3_rows(
         &["fluidanimate", "x264", "raytrace", "swaptions"],
         &["sssp", "bpt"],
     );
@@ -63,26 +100,27 @@ fn full_app_cpu_degradation_band() {
         // generators: its cell can land within noise of 1.0.
         let ceiling = if r.cpu_app == "raytrace" { 1.01 } else { 1.0 };
         assert!(
-            r.cpu_perf < ceiling,
+            cpu_perf(r) < ceiling,
             "{}+{}: full apps must still interfere ({})",
             r.cpu_app,
             r.gpu_app,
-            r.cpu_perf
+            cpu_perf(r)
         );
         assert!(
-            r.cpu_perf > 0.6,
+            cpu_perf(r) > 0.6,
             "{}+{}: implausibly strong interference ({})",
             r.cpu_app,
             r.gpu_app,
-            r.cpu_perf
+            cpu_perf(r)
         );
     }
     // fluidanimate is hit harder than swaptions by the same generator.
     let get = |c: &str, g: &str| {
-        rows.iter()
-            .find(|r| r.cpu_app == c && r.gpu_app == g)
-            .unwrap()
-            .cpu_perf
+        cpu_perf(
+            rows.iter()
+                .find(|r| r.cpu_app == c && r.gpu_app == g)
+                .unwrap(),
+        )
     };
     assert!(get("fluidanimate", "sssp") < get("swaptions", "sssp"));
 }
@@ -92,8 +130,7 @@ fn full_app_cpu_degradation_band() {
 /// delayer (the paper's average GPU drop for it is 8%).
 #[test]
 fn busy_cpus_delay_gpu_service() {
-    let cpu: Vec<&str> = hiss::parsec_suite().iter().map(|s| s.name).collect();
-    let rows = fig3::fig3_with(&cfg(), &cpu, &["sssp", "ubench"]);
+    let rows = fig3_rows(&parsec(), &["sssp", "ubench"]);
     let sssp_stream = rows
         .iter()
         .find(|r| r.cpu_app == "streamcluster" && r.gpu_app == "sssp")
@@ -116,6 +153,40 @@ fn busy_cpus_delay_gpu_service() {
             worst.cpu_app
         );
     }
+}
+
+/// Fig. 3 in both directions on a 2 × 2 grid: every cell shows
+/// interference within plausible bounds, ubench hurts the CPU more than
+/// sssp, and single-threaded raytrace suffers less than fluidanimate.
+#[test]
+fn subset_grid_shows_interference_both_ways() {
+    let rows = fig3_rows(&["fluidanimate", "raytrace"], &["sssp", "ubench"]);
+    assert_eq!(rows.len(), 4);
+    for r in &rows {
+        assert!(
+            cpu_perf(r) > 0.3 && cpu_perf(r) <= 1.02,
+            "{}+{} cpu_perf {}",
+            r.cpu_app,
+            r.gpu_app,
+            cpu_perf(r)
+        );
+        assert!(
+            r.gpu_perf > 0.3 && r.gpu_perf <= 1.25,
+            "{}+{} gpu_perf {}",
+            r.cpu_app,
+            r.gpu_app,
+            r.gpu_perf
+        );
+    }
+    let perf = |c: &str, g: &str| {
+        cpu_perf(
+            rows.iter()
+                .find(|r| r.cpu_app == c && r.gpu_app == g)
+                .unwrap(),
+        )
+    };
+    assert!(perf("fluidanimate", "ubench") < perf("fluidanimate", "sssp"));
+    assert!(perf("raytrace", "ubench") > perf("fluidanimate", "ubench"));
 }
 
 /// §IV-B / Fig. 4: ubench SSRs collapse CC6 residency from 86% to 12%;
@@ -236,20 +307,33 @@ fn coalescing_trade_off() {
     assert!(m.cpu_perf_vs(&base).unwrap() >= def.cpu_perf_vs(&base).unwrap() - 0.02);
 }
 
+/// Fig. 12 rows for `cpu` against ubench, as `(qos_percent, row)`,
+/// with the paper's ladder: governor off, `th_25`, `th_5`, `th_1`.
+fn fig12_rows(cpu: &[&str]) -> Vec<(f64, Row)> {
+    grid(cpu, &["ubench"], "[sweep]\nqos_percent = [0, 25, 5, 1]\n")
+        .into_iter()
+        .map(|(c, r)| (c.knobs.qos_percent, r))
+        .collect()
+}
+
 /// §VI / Fig. 12: `th_1` caps the average CPU loss near the threshold
 /// (paper: <4% from 28%) at the cost of collapsing accelerator
 /// throughput (paper: to ~5% of unhindered).
 #[test]
 fn qos_threshold_sweep() {
-    let rows = fig12::fig12_with(&cfg(), &["x264", "fluidanimate", "swaptions"]);
-    let avg = |t: fig12::Throttle, f: fn(&fig12::Fig12Row) -> f64| {
-        let v: Vec<f64> = rows.iter().filter(|r| r.throttle == t).map(f).collect();
-        hiss_sim_mean(&v)
+    let rows = fig12_rows(&["x264", "fluidanimate", "swaptions"]);
+    let avg = |pct: f64, f: fn(&Row) -> f64| {
+        let v: Vec<f64> = rows
+            .iter()
+            .filter(|(p, _)| *p == pct)
+            .map(|(_, r)| f(r))
+            .collect();
+        hiss_sim::mean(&v)
     };
-    let cpu_def = avg(fig12::Throttle::Default, |r| r.cpu_perf);
-    let cpu_th1 = avg(fig12::Throttle::Th1, |r| r.cpu_perf);
-    let gpu_def = avg(fig12::Throttle::Default, |r| r.gpu_perf);
-    let gpu_th1 = avg(fig12::Throttle::Th1, |r| r.gpu_perf);
+    let cpu_def = avg(0.0, cpu_perf);
+    let cpu_th1 = avg(1.0, cpu_perf);
+    let gpu_def = avg(0.0, |r| r.gpu_perf);
+    let gpu_th1 = avg(1.0, |r| r.gpu_perf);
     assert!(
         cpu_th1 > 0.90,
         "th_1 should cap CPU loss near 1-4% plus pollution residue: {cpu_th1}"
@@ -263,7 +347,7 @@ fn qos_threshold_sweep() {
     // The measured SSR overhead respects the configured ceiling loosely
     // ("the CPU performance loss can be slightly more than x% because our
     // driver enforces the limit periodically").
-    for r in rows.iter().filter(|r| r.throttle == fig12::Throttle::Th1) {
+    for (_, r) in rows.iter().filter(|(p, _)| *p == 1.0) {
         assert!(
             r.ssr_overhead < 0.05,
             "{}: overhead {} far above th_1",
@@ -273,12 +357,107 @@ fn qos_threshold_sweep() {
     }
 }
 
-fn hiss_sim_mean(v: &[f64]) -> f64 {
-    if v.is_empty() {
-        0.0
-    } else {
-        v.iter().sum::<f64>() / v.len() as f64
+/// Fig. 12 for x264: tighter thresholds trade GPU throughput for CPU
+/// performance, monotonically across the ladder.
+#[test]
+fn tighter_thresholds_trade_gpu_for_cpu() {
+    let rows = fig12_rows(&["x264"]);
+    let get = |pct: f64| &rows.iter().find(|(p, _)| *p == pct).unwrap().1;
+    let (default, th25, th5, th1) = (get(0.0), get(25.0), get(5.0), get(1.0));
+    // th_1 must sharply improve CPU performance over default…
+    assert!(
+        cpu_perf(th1) > cpu_perf(default) + 0.05,
+        "th_1 {} vs default {}",
+        cpu_perf(th1),
+        cpu_perf(default)
+    );
+    // …while collapsing ubench throughput (paper: to ~5%).
+    assert!(
+        th1.gpu_perf < default.gpu_perf * 0.4,
+        "th_1 gpu {} vs default {}",
+        th1.gpu_perf,
+        default.gpu_perf
+    );
+    // Monotonicity across the sweep.
+    assert!(th1.gpu_perf <= th5.gpu_perf + 0.02);
+    assert!(th5.gpu_perf <= th25.gpu_perf + 0.02);
+    assert!(th1.ssr_overhead <= th5.ssr_overhead + 0.01);
+    assert!(th5.ssr_overhead <= th25.ssr_overhead + 0.01);
+}
+
+/// Fig. 6 ratios (treated vs the default cell of the same pairing) for
+/// one technique over `cpu` × `gpu`, as `(cpu_app, gpu_app, cpu, gpu)`.
+fn fig6_ratios(technique: &str, cpu: &[&str], gpu: &[&str]) -> Vec<(String, String, f64, f64)> {
+    let sweep = format!("[sweep]\nmitigation = [\"default\", \"{technique}\"]\n");
+    let pairs = grid(cpu, gpu, &sweep);
+    // The sweep is the outermost axis: the first half is the default point.
+    let (default, treated) = pairs.split_at(pairs.len() / 2);
+    treated
+        .iter()
+        .zip(default)
+        .map(|((c, t), (_, d))| {
+            let (cpu_ratio, gpu_ratio) = ratio_vs_default(t, d);
+            let cpu_ratio = cpu_ratio.expect("both runs finish the CPU application");
+            (c.cpu_app.clone(), c.gpu_app.clone(), cpu_ratio, gpu_ratio)
+        })
+        .collect()
+}
+
+/// §V-C / Fig. 6e-f: with busy 4-thread apps the kthread wake + IPI
+/// saving is on the critical path (idle-CPU runs are dominated by CC6
+/// wake latency instead, which monolithic does not change).
+#[test]
+fn monolithic_helps_gpu_throughput() {
+    for (cpu, gpu, _, gpu_ratio) in fig6_ratios("mono", &["fluidanimate"], &["sssp", "ubench"]) {
+        assert!(
+            gpu_ratio > 1.1,
+            "{cpu}+{gpu}: monolithic should speed the GPU, got {gpu_ratio}"
+        );
     }
+}
+
+/// §V-B / Fig. 6c-d: the paper sees up to a 50% slowdown for SSSP: its
+/// blocking SSRs wait out the coalescing window.
+#[test]
+fn coalescing_slows_latency_bound_gpu_apps() {
+    let rows = fig6_ratios("coalesce", &["blackscholes"], &["sssp"]);
+    assert!(
+        rows[0].3 < 0.95,
+        "coalescing should hurt sssp, got {}",
+        rows[0].3
+    );
+}
+
+/// §V-A / Fig. 6a-b: with ubench inundating all cores by default,
+/// steering moves the interrupts off three of the four cores; CPU
+/// performance must not collapse (paper: steering *helps* under ubench).
+#[test]
+fn steering_concentrates_harm() {
+    let rows = fig6_ratios("steer", &["x264"], &["ubench"]);
+    assert!(
+        rows[0].2 > 0.9,
+        "steering under ubench should not hurt broadly, got {}",
+        rows[0].2
+    );
+}
+
+/// §V-D / Fig. 7: the default configuration is not Pareto optimal.
+#[test]
+fn subset_pareto_default_is_not_optimal() {
+    let pairs = grid(
+        &["x264", "raytrace"],
+        &["ubench"],
+        "[sweep]\nmitigation = [\"default\", \"coalesce\", \"coalesce+mono\"]\n",
+    );
+    let pts = figures::pareto_points(&pairs);
+    assert_eq!(pts[0].mitigation, Mitigation::DEFAULT);
+    assert!(
+        !figures::pareto_frontier(&pts)[0],
+        "default should be dominated: {:?}",
+        pts.iter()
+            .map(|p| (p.cpu_geomean, p.gpu_geomean))
+            .collect::<Vec<_>>()
+    );
 }
 
 /// §V-A observations: steering pins every interrupt to one core; with
@@ -302,4 +481,82 @@ fn steering_recovers_sleep() {
         def.cc6_residency
     );
     assert_eq!(s.kernel.interrupts_per_core[1..].iter().sum::<u64>(), 0);
+}
+
+/// Normalised x264 performance under ubench with a recalibrated system
+/// configuration (against the no-SSR pairing under the same one), plus
+/// the ubench SSR rate.
+fn x264_under_ubench(c: SystemConfig) -> (f64, f64) {
+    let base = ExperimentBuilder::new(c)
+        .cpu_app("x264")
+        .gpu_app_pinned("ubench")
+        .run();
+    let run = ExperimentBuilder::new(c)
+        .cpu_app("x264")
+        .gpu_app("ubench")
+        .run();
+    (run.cpu_perf_vs(&base).unwrap(), run.ssr_rate)
+}
+
+/// Calibration ablation: disabling µarchitectural pollution recovers
+/// noticeable CPU performance, yet the direct handler overheads still
+/// interfere (Fig. 2's dark segments).
+#[test]
+fn pollution_is_a_major_interference_component() {
+    let mut c = cfg();
+    for p in [&mut c.cpu.cache_pollution, &mut c.cpu.branch_pollution] {
+        // Kernel execution no longer cools the structures.
+        p.kernel_decay_tau = Ns::from_secs(1);
+        p.user_refill_tau = Ns::from_nanos(1);
+    }
+    let (without, _) = x264_under_ubench(c);
+    let (with, _) = x264_under_ubench(cfg());
+    assert!(
+        without > with + 0.05,
+        "disabling pollution should recover noticeable CPU perf: {without} vs {with}"
+    );
+    assert!(without < 0.99, "direct-only run shows no interference");
+}
+
+/// Calibration ablation: halving every handler-stage cost means less
+/// interference and no less SSR throughput than doubling it.
+#[test]
+fn cheaper_handlers_mean_less_interference_more_throughput() {
+    let scaled = |f: f64| {
+        let mut c = cfg();
+        let k = &mut c.costs;
+        for stage in [
+            &mut k.top_half_base,
+            &mut k.top_half_per_req,
+            &mut k.bottom_half_base,
+            &mut k.bottom_half_per_req,
+            &mut k.completion_notify,
+        ] {
+            *stage = stage.scale(f);
+        }
+        x264_under_ubench(c)
+    };
+    let (cheap, expensive) = (scaled(0.5), scaled(2.0));
+    assert!(cheap.0 > expensive.0);
+    assert!(cheap.1 >= expensive.1 * 0.95);
+}
+
+/// Calibration ablation: a more eager CC6 governor (smaller entry
+/// threshold) does not sleep less in the GPU-only sssp run (Fig. 4's
+/// mechanism).
+#[test]
+fn deeper_thresholds_trade_sleep_for_latency() {
+    let residency = |us: u64| {
+        let mut c = cfg();
+        c.cpu.cstate.entry_threshold = Ns::from_micros(us);
+        ExperimentBuilder::new(c)
+            .gpu_app("sssp")
+            .run()
+            .cc6_residency
+    };
+    let (eager, lazy) = (residency(50), residency(1000));
+    assert!(
+        eager >= lazy,
+        "eager CC6 entry should not sleep less: {eager} vs {lazy}"
+    );
 }

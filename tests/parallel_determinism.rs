@@ -1,43 +1,20 @@
 //! The parallel experiment engine must be invisible in the output:
-//! figure grids computed on the job pool are required to be bit-for-bit
-//! identical to the serial path, whatever the worker count and whatever
-//! the cache state. These tests pin that contract for a representative
-//! row-grid (`fig3`) and a reduced grid (`pareto`), including the
-//! `HISS_THREADS` override the runner sizes itself from.
+//! simulations run on the job pool are required to be bit-for-bit
+//! identical to the serial path, whatever the worker count. These tests
+//! pin that contract for calendar counters and full metric snapshots
+//! (mixed device topologies, criticality partitions), including the
+//! `HISS_THREADS` override the runner sizes itself from. Pack grids are
+//! pinned the same way, with cold and warm caches, by
+//! `tests/scenario_determinism.rs` (a default plus non-default
+//! mitigation sweep: the shape of the fig3 and pareto packs).
 
-use hiss::experiments::{fig3, pareto, test_cpu_subset, test_gpu_subset, BaselineCache};
 use hiss::{
-    run_jobs_on, CoreId, CriticalityConfig, DeviceSpec, DmaParams, ExperimentBuilder, Mitigation,
-    NicParams, SystemConfig,
+    run_jobs_on, CoreId, CriticalityConfig, DeviceSpec, DmaParams, ExperimentBuilder, NicParams,
+    SystemConfig,
 };
 
-/// Exact (bit-level) fingerprint of a Fig. 3 grid.
-fn fig3_bits(rows: &[fig3::Fig3Row]) -> Vec<(String, String, u64, u64)> {
-    rows.iter()
-        .map(|r| {
-            (
-                r.cpu_app.clone(),
-                r.gpu_app.clone(),
-                r.cpu_perf.to_bits(),
-                r.gpu_perf.to_bits(),
-            )
-        })
-        .collect()
-}
-
-/// Exact (bit-level) fingerprint of a Pareto chart.
-fn pareto_bits(points: &[pareto::ParetoPoint]) -> Vec<(String, u64, u64)> {
-    points
-        .iter()
-        .map(|p| {
-            (
-                p.mitigation.label(),
-                p.cpu_geomean.to_bits(),
-                p.gpu_geomean.to_bits(),
-            )
-        })
-        .collect()
-}
+/// The GPU applications each thread-invariance probe runs against x264.
+const GPU: [&str; 3] = ["bfs", "sssp", "ubench"];
 
 /// One test owns the `HISS_THREADS` variable end to end: tests within a
 /// binary run on concurrent threads, so the env mutation must not be
@@ -45,20 +22,6 @@ fn pareto_bits(points: &[pareto::ParetoPoint]) -> Vec<(String, u64, u64)> {
 #[test]
 fn hiss_threads_1_and_8_produce_identical_grids() {
     let cfg = SystemConfig::a10_7850k();
-    let cpu = test_cpu_subset();
-    let gpu = test_gpu_subset();
-    let combos = [
-        Mitigation::DEFAULT,
-        Mitigation {
-            coalesce: true,
-            ..Mitigation::DEFAULT
-        },
-    ];
-
-    std::env::set_var("HISS_THREADS", "1");
-    BaselineCache::global().clear();
-    let fig3_serial = fig3::fig3_with(&cfg, &cpu, &gpu);
-    let pareto_serial = pareto::pareto_with(&cfg, &cpu, &["ubench"], &combos);
 
     // The calendar's own accounting must be as thread-invariant as the
     // simulation results: per-run events pushed/popped/peak are part of
@@ -66,10 +29,10 @@ fn hiss_threads_1_and_8_produce_identical_grids() {
     let counters = |threads: &str| -> Vec<(u64, u64, u64)> {
         std::env::set_var("HISS_THREADS", threads);
         let n: usize = threads.parse().expect("numeric HISS_THREADS");
-        run_jobs_on(n, gpu.len(), |i| {
+        run_jobs_on(n, GPU.len(), |i| {
             let r = ExperimentBuilder::new(cfg)
                 .cpu_app("x264")
-                .gpu_app(gpu[i])
+                .gpu_app(GPU[i])
                 .run();
             (
                 r.metrics.counter_value("run.events_pushed").unwrap(),
@@ -87,10 +50,10 @@ fn hiss_threads_1_and_8_produce_identical_grids() {
     let device_snapshots = |threads: &str| -> Vec<String> {
         std::env::set_var("HISS_THREADS", threads);
         let n: usize = threads.parse().expect("numeric HISS_THREADS");
-        run_jobs_on(n, gpu.len(), |i| {
+        run_jobs_on(n, GPU.len(), |i| {
             ExperimentBuilder::new(cfg)
                 .cpu_app("x264")
-                .gpu_app(gpu[i])
+                .gpu_app(GPU[i])
                 .device(DeviceSpec::Nic(NicParams::default()))
                 .device_steered(DeviceSpec::Dma(DmaParams::default()), Some(CoreId(2)))
                 .run()
@@ -107,10 +70,10 @@ fn hiss_threads_1_and_8_produce_identical_grids() {
     let crit_snapshots = |threads: &str| -> Vec<String> {
         std::env::set_var("HISS_THREADS", threads);
         let n: usize = threads.parse().expect("numeric HISS_THREADS");
-        run_jobs_on(n, gpu.len(), |i| {
+        run_jobs_on(n, GPU.len(), |i| {
             ExperimentBuilder::new(cfg)
                 .cpu_app("x264")
-                .gpu_app(gpu[i])
+                .gpu_app(GPU[i])
                 .device(DeviceSpec::Nic(NicParams::default()))
                 .criticality(CriticalityConfig {
                     critical_device_mask: 0b10,
@@ -123,24 +86,11 @@ fn hiss_threads_1_and_8_produce_identical_grids() {
     };
     let crit_serial = crit_snapshots("1");
 
-    std::env::set_var("HISS_THREADS", "8");
-    BaselineCache::global().clear();
-    let fig3_parallel = fig3::fig3_with(&cfg, &cpu, &gpu);
-    let pareto_parallel = pareto::pareto_with(&cfg, &cpu, &["ubench"], &combos);
     let counters_parallel = counters("8");
     let devices_parallel = device_snapshots("8");
     let crit_parallel = crit_snapshots("8");
-
-    // And once more against a *warm* cache: memoized baselines must not
-    // change any value either.
-    std::env::set_var("HISS_THREADS", "8");
-    let fig3_warm = fig3::fig3_with(&cfg, &cpu, &gpu);
     std::env::remove_var("HISS_THREADS");
 
-    assert_eq!(fig3_serial.len(), cpu.len() * gpu.len());
-    assert_eq!(fig3_bits(&fig3_serial), fig3_bits(&fig3_parallel));
-    assert_eq!(fig3_bits(&fig3_serial), fig3_bits(&fig3_warm));
-    assert_eq!(pareto_bits(&pareto_serial), pareto_bits(&pareto_parallel));
     assert_eq!(counters_serial, counters_parallel);
     assert_eq!(devices_serial, devices_parallel);
     assert_eq!(crit_serial, crit_parallel);

@@ -3,14 +3,15 @@
 //! satisfy its own `[expect]` bands — so a behaviour change anywhere in
 //! the simulator trips the band of whichever scenario observes it.
 //!
-//! The fig3 scenario is additionally pinned bit-for-bit against the
-//! `hiss::experiments::fig3` module it re-expresses: the declarative
-//! path and the hard-coded path must be the same experiment.
+//! The fig3 scenario is additionally pinned bit-for-bit against direct
+//! [`ExperimentBuilder`] runs normalised by `RunReport`'s own ratio
+//! methods, and the Fig. 6 ratios `hiss-cli figures` derives from
+//! fig6.hiss rows are pinned against the same methods.
 
 use std::path::{Path, PathBuf};
 
-use hiss::experiments::fig3;
-use hiss::SystemConfig;
+use hiss::{ExperimentBuilder, Mitigation, SystemConfig};
+use hiss_scenario::figures::{self, ratio_vs_default};
 use hiss_scenario::{check, expand, load, output, run, Scenario};
 
 fn scenarios_dir() -> PathBuf {
@@ -66,36 +67,65 @@ fn committed_scenarios_hold_their_expect_bands() {
     }
 }
 
-/// The declarative fig3 scenario is the same experiment as the fig3
-/// module: identical grid order, bit-identical values (quick subsets).
-#[test]
-fn fig3_scenario_is_bit_identical_to_fig3_module() {
-    let sc = load(&scenarios_dir().join("fig3.hiss")).unwrap();
-    let rows = run(&sc, true);
-
+/// A Fig. 3 cell computed directly: the default co-run against the
+/// no-SSR pairing (CPU axis) and the GPU on idle CPUs (GPU axis: SSR
+/// rate for ubench, work throughput otherwise).
+fn fig3_oracle(cpu_app: &str, gpu_app: &str) -> (f64, f64) {
     let cfg = SystemConfig::a10_7850k();
-    let cpu: Vec<&str> = sc.cpu_apps(true).iter().map(String::as_str).collect();
-    let gpu: Vec<&str> = sc.gpu_apps(true).iter().map(String::as_str).collect();
-    let module = fig3::fig3_with(&cfg, &cpu, &gpu);
+    let noisy = ExperimentBuilder::new(cfg)
+        .cpu_app(cpu_app)
+        .gpu_app(gpu_app)
+        .run();
+    let base = ExperimentBuilder::new(cfg)
+        .cpu_app(cpu_app)
+        .gpu_app_pinned(gpu_app)
+        .run();
+    let idle = ExperimentBuilder::new(cfg).gpu_app(gpu_app).run();
+    let gpu_perf = if gpu_app == "ubench" {
+        noisy.ssr_rate_vs(&idle)
+    } else {
+        noisy.gpu_perf_vs(&idle)
+    };
+    (noisy.cpu_perf_vs(&base).unwrap(), gpu_perf)
+}
 
-    assert_eq!(rows.len(), module.len());
-    for (r, m) in rows.iter().zip(&module) {
-        assert_eq!((&r.cpu_app, &r.gpu_app), (&m.cpu_app, &m.gpu_app));
+/// fig3.hiss yields the GPU-major grid with every value bit-identical to
+/// [`fig3_oracle`].
+fn assert_fig3_is_bit_identical(quick: bool) {
+    let sc = load(&scenarios_dir().join("fig3.hiss")).unwrap();
+    let rows = run(&sc, quick);
+    let cells: Vec<(&str, &str)> = sc
+        .gpu_apps(quick)
+        .iter()
+        .flat_map(|g| {
+            sc.cpu_apps(quick)
+                .iter()
+                .map(move |c| (c.as_str(), g.as_str()))
+        })
+        .collect();
+    let oracle = hiss::run_jobs(cells.len(), |i| fig3_oracle(cells[i].0, cells[i].1));
+
+    assert_eq!(rows.len(), cells.len());
+    for ((r, (cpu, gpu)), (cpu_perf, gpu_perf)) in rows.iter().zip(&cells).zip(oracle) {
+        assert_eq!((r.cpu_app.as_str(), r.gpu_app.as_str()), (*cpu, *gpu));
         assert_eq!(
             r.cpu_perf.expect("fig3 cells finish").to_bits(),
-            m.cpu_perf.to_bits(),
-            "{}×{} cpu_perf",
-            r.cpu_app,
-            r.gpu_app
+            cpu_perf.to_bits(),
+            "{cpu}×{gpu} cpu_perf"
         );
         assert_eq!(
             r.gpu_perf.to_bits(),
-            m.gpu_perf.to_bits(),
-            "{}×{} gpu_perf",
-            r.cpu_app,
-            r.gpu_app
+            gpu_perf.to_bits(),
+            "{cpu}×{gpu} gpu_perf"
         );
     }
+}
+
+/// The declarative fig3 scenario is the paper's Fig. 3 experiment:
+/// identical grid order, bit-identical values (quick subsets).
+#[test]
+fn fig3_scenario_is_bit_identical_to_direct_runs() {
+    assert_fig3_is_bit_identical(true);
 }
 
 /// Full 13 × 6 grid bit-identity — the acceptance criterion for
@@ -105,19 +135,56 @@ fn fig3_scenario_is_bit_identical_to_fig3_module() {
 #[test]
 #[ignore = "full paper grid; run with --ignored"]
 fn fig3_scenario_full_grid_is_bit_identical() {
-    let sc = load(&scenarios_dir().join("fig3.hiss")).unwrap();
-    let rows = run(&sc, false);
+    assert_fig3_is_bit_identical(false);
+}
 
+/// The Fig. 6 ratios rendered from fig6.hiss rows equal `RunReport`'s
+/// ratios of the treated run against the default-configuration run,
+/// bit-for-bit, on a ubench cell (SSR-rate ratio) and a full-application
+/// cell (work-throughput ratio).
+#[test]
+fn fig6_ratios_from_rows_match_run_reports_bit_for_bit() {
+    let sc = load(&scenarios_dir().join("fig6.hiss")).unwrap();
+    let pairs = figures::run_pairs(&sc, true);
     let cfg = SystemConfig::a10_7850k();
-    let cpu: Vec<&str> = sc.cpu_apps(false).iter().map(String::as_str).collect();
-    let gpu: Vec<&str> = sc.gpu_apps(false).iter().map(String::as_str).collect();
-    let module = fig3::fig3_with(&cfg, &cpu, &gpu);
+    let mono = Mitigation {
+        monolithic_bottom_half: true,
+        ..Mitigation::DEFAULT
+    };
+    for gpu in ["ubench", "sssp"] {
+        let row = |m: Mitigation| {
+            &pairs
+                .iter()
+                .find(|(c, _)| c.knobs.mitigation == m && c.cpu_app == "x264" && c.gpu_app == gpu)
+                .expect("x264 cells are in fig6.hiss's quick grid")
+                .1
+        };
+        let (cpu_ratio, gpu_ratio) = ratio_vs_default(row(mono), row(Mitigation::DEFAULT));
 
-    assert_eq!(rows.len(), module.len());
-    for (r, m) in rows.iter().zip(&module) {
-        assert_eq!((&r.cpu_app, &r.gpu_app), (&m.cpu_app, &m.gpu_app));
-        assert_eq!(r.cpu_perf.unwrap().to_bits(), m.cpu_perf.to_bits());
-        assert_eq!(r.gpu_perf.to_bits(), m.gpu_perf.to_bits());
+        let default = ExperimentBuilder::new(cfg)
+            .cpu_app("x264")
+            .gpu_app(gpu)
+            .run();
+        let treated = ExperimentBuilder::new(cfg)
+            .cpu_app("x264")
+            .gpu_app(gpu)
+            .mitigation(mono)
+            .run();
+        let expected_gpu = if gpu == "ubench" {
+            treated.ssr_rate_vs(&default)
+        } else {
+            treated.gpu_perf_vs(&default)
+        };
+        assert_eq!(
+            cpu_ratio.unwrap().to_bits(),
+            treated.cpu_perf_vs(&default).unwrap().to_bits(),
+            "x264×{gpu} CPU ratio"
+        );
+        assert_eq!(
+            gpu_ratio.to_bits(),
+            expected_gpu.to_bits(),
+            "x264×{gpu} GPU ratio"
+        );
     }
 }
 
