@@ -43,8 +43,13 @@ pub fn sanitize_enabled() -> bool {
 mod tests {
     #[test]
     fn debug_builds_always_enforce() {
-        // The test suite compiles with debug assertions, which is
-        // exactly the "always-on in tests" guarantee.
-        assert!(super::sanitize_enabled());
+        // Nothing in this test binary calls `force_sanitize`, so
+        // enforcement is exactly "debug build, or HISS_SANITIZE set":
+        // always on under `cargo test`, and opt-in under
+        // `cargo test --release`.
+        assert_eq!(
+            super::sanitize_enabled(),
+            cfg!(debug_assertions) || super::env_requests_sanitize()
+        );
     }
 }

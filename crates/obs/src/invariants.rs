@@ -19,6 +19,14 @@
 //! Names absent from a registry contribute zero — an inequality over an
 //! optional family (e.g. `qos.*`) holds vacuously when the family is
 //! not published.
+//!
+//! [`audit`] is the one evaluator. It compiles each scope's laws once
+//! per process into a plan that reads every distinct pattern once per
+//! audit: concrete names by direct lookup, families by one ordered
+//! prefix scan per literal prefix (see `AuditPlan`).
+
+use std::ops::Range;
+use std::sync::OnceLock;
 
 use crate::schema::{pattern_matches, Scope};
 use crate::{MetricValue, MetricsRegistry};
@@ -62,23 +70,12 @@ impl Term {
         }
     }
 
-    /// Evaluates the term against a registry.
-    fn eval(self, reg: &MetricsRegistry) -> u128 {
-        let mut acc: u128 = 0;
-        for (name, value) in reg.iter() {
-            if !pattern_matches(self.pattern(), name) {
-                continue;
-            }
-            match self {
-                Term::Sum(_) => {
-                    if let MetricValue::Counter(v) = value {
-                        acc += *v as u128;
-                    }
-                }
-                Term::Count(_) => acc += 1,
-            }
+    /// The term's value given its pattern's evaluated slot.
+    fn value(self, slot: Slot) -> u128 {
+        match self {
+            Term::Sum(_) => slot.sum,
+            Term::Count(_) => slot.count,
         }
-        acc
     }
 
     /// Renders the term for diagnostics (`Σ devN.ssrs_raised`,
@@ -100,9 +97,27 @@ impl Term {
 /// `pattern` names exactly one metric (no `*` segment, no indexed
 /// family placeholder).
 pub fn is_concrete(pattern: &str) -> bool {
-    pattern
-        .split('.')
-        .all(|seg| seg != "*" && !seg.ends_with('N'))
+    split_family(pattern).is_none()
+}
+
+/// Splits a family pattern at its first placeholder segment into the
+/// literal prefix before the placeholder (including an `N` segment's
+/// stem) and the tail after it: `cpu.coreN.user_ns` →
+/// (`cpu.core`, `.user_ns`), `bench.cell.*.elapsed_ns` →
+/// (`bench.cell.`, `.elapsed_ns`). `None` for a concrete pattern.
+fn split_family(pattern: &str) -> Option<(&str, &str)> {
+    let mut start = 0;
+    for seg in pattern.split('.') {
+        let end = start + seg.len();
+        if seg == "*" {
+            return Some((&pattern[..start], &pattern[end..]));
+        }
+        if let Some(stem) = seg.strip_suffix('N') {
+            return Some((&pattern[..start + stem.len()], &pattern[end..]));
+        }
+        start = end + 1;
+    }
+    None
 }
 
 /// One declared conservation law.
@@ -516,7 +531,7 @@ pub const INVARIANTS: &[Invariant] = &[
 ];
 
 /// The declared laws of one scope.
-pub fn invariants_for(scope: Scope) -> impl Iterator<Item = &'static Invariant> {
+pub fn invariants_for(scope: Scope) -> impl Iterator<Item = &'static Invariant> + Clone {
     INVARIANTS.iter().filter(move |i| i.scope == scope)
 }
 
@@ -560,56 +575,198 @@ fn describe_side(terms: &[Term], value: u128) -> String {
     format!("{} = {value}", rendered.join(" + "))
 }
 
-/// Whether a guarded invariant applies to this registry (unguarded laws
-/// always apply; guarded laws need a published name matching the guard).
-pub fn applies(inv: &Invariant, reg: &MetricsRegistry) -> bool {
-    match inv.guard {
-        None => true,
-        Some(guard) => reg.iter().any(|(name, _)| pattern_matches(guard, name)),
-    }
+/// One pattern's evaluated value: the sum of the counters it matches
+/// and the number of names (of any kind) it matches. `Term::Sum` reads
+/// the first, `Term::Count` and guards the second.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    sum: u128,
+    count: u128,
 }
 
-/// Evaluates one invariant against a registry. A guarded law whose
-/// guard matches nothing is skipped (returns `None`).
-pub fn check(inv: &Invariant, reg: &MetricsRegistry) -> Option<Violation> {
-    if !applies(inv, reg) {
-        return None;
-    }
-    let lhs: u128 = inv.lhs.iter().map(|t| t.eval(reg)).sum();
-    let rhs: u128 = inv.rhs.iter().map(|t| t.eval(reg)).sum();
-    let holds = match inv.rel {
-        Rel::Eq => lhs == rhs,
-        Rel::Le => lhs <= rhs,
-    };
-    if holds {
-        return None;
-    }
-    Some(Violation {
-        name: inv.name,
-        lhs,
-        rhs,
-        detail: format!(
-            "invariant `{}` violated: {}, expected {} {} ({})",
-            inv.name,
-            describe_side(inv.lhs, lhs),
-            inv.rel.as_str(),
-            describe_side(inv.rhs, rhs),
-            inv.doc,
-        ),
-    })
-}
-
-/// Audits a registry against every declared law of `scope`.
-pub fn audit(reg: &MetricsRegistry, scope: Scope) -> AuditReport {
-    let mut report = AuditReport::default();
-    for inv in invariants_for(scope) {
-        if !applies(inv, reg) {
-            continue;
+impl Slot {
+    fn add(&mut self, value: &MetricValue) {
+        self.count += 1;
+        if let MetricValue::Counter(v) = value {
+            self.sum += *v as u128;
         }
-        report.checked += 1;
-        report.violations.extend(check(inv, reg));
     }
-    report
+}
+
+/// A family pattern, routed by the literal text around its first
+/// placeholder segment.
+#[derive(Debug)]
+struct Member {
+    /// The pattern before its first placeholder (`cpu.core`).
+    prefix: &'static str,
+    /// The pattern after its first placeholder segment (`.user_ns`);
+    /// literal, so a name can only match when its own tail equals it.
+    tail: &'static str,
+    pattern: &'static str,
+    slot: usize,
+}
+
+/// A law table compiled for evaluation: every distinct term or guard
+/// pattern owns one [`Slot`]; concrete patterns are filled by a direct
+/// lookup and family patterns by one ordered prefix scan per literal
+/// prefix, so an audit visits each relevant registry name once instead
+/// of rescanning the registry per term.
+#[derive(Debug)]
+struct AuditPlan {
+    /// Slot index → pattern.
+    patterns: Vec<&'static str>,
+    /// `(name, slot)` for every concrete pattern.
+    concrete: Vec<(&'static str, usize)>,
+    /// Family patterns, sorted so each prefix's members are contiguous.
+    members: Vec<Member>,
+    /// Each literal prefix with the range of its `members`.
+    families: Vec<(&'static str, Range<usize>)>,
+    /// Each law with its guard's slot.
+    laws: Vec<(&'static Invariant, Option<usize>)>,
+    /// The slot of each law's `lhs` then `rhs` terms, law after law.
+    term_slots: Vec<usize>,
+}
+
+impl AuditPlan {
+    fn compile(invs: impl Iterator<Item = &'static Invariant> + Clone) -> AuditPlan {
+        // Sized up front: the plan is built inside the first audit, so
+        // it should not add allocator traffic per pattern or law.
+        let terms: usize = invs.clone().map(|i| i.lhs.len() + i.rhs.len() + 1).sum();
+        let mut plan = AuditPlan {
+            patterns: Vec::with_capacity(terms),
+            concrete: Vec::with_capacity(terms),
+            members: Vec::with_capacity(terms),
+            families: Vec::with_capacity(terms),
+            laws: Vec::with_capacity(terms),
+            term_slots: Vec::with_capacity(terms),
+        };
+        for inv in invs {
+            for term in inv.lhs.iter().chain(inv.rhs) {
+                let slot = plan.slot(term.pattern());
+                plan.term_slots.push(slot);
+            }
+            let guard = inv.guard.map(|g| plan.slot(g));
+            plan.laws.push((inv, guard));
+        }
+        plan.members.sort_unstable_by_key(|m| m.prefix);
+        for (i, m) in plan.members.iter().enumerate() {
+            match plan.families.last_mut() {
+                Some((prefix, range)) if *prefix == m.prefix => range.end = i + 1,
+                _ => plan.families.push((m.prefix, i..i + 1)),
+            }
+        }
+        plan
+    }
+
+    /// The slot of `pattern`, allocating (and routing) it on first use.
+    fn slot(&mut self, pattern: &'static str) -> usize {
+        if let Some(slot) = self.patterns.iter().position(|&p| p == pattern) {
+            return slot;
+        }
+        let slot = self.patterns.len();
+        self.patterns.push(pattern);
+        match split_family(pattern) {
+            None => self.concrete.push((pattern, slot)),
+            Some((prefix, tail)) => self.members.push(Member {
+                prefix,
+                tail,
+                pattern,
+                slot,
+            }),
+        }
+        slot
+    }
+
+    /// Evaluates every slot against `reg`. Each candidate name is still
+    /// confirmed with [`pattern_matches`], so routing only narrows the
+    /// search and never changes what a pattern matches.
+    fn evaluate(&self, reg: &MetricsRegistry) -> Vec<Slot> {
+        let mut values = vec![Slot::default(); self.patterns.len()];
+        for &(name, slot) in &self.concrete {
+            if let Some(value) = reg.get(name) {
+                values[slot].add(value);
+            }
+        }
+        for (prefix, range) in &self.families {
+            for (name, value) in reg.iter_prefix(prefix) {
+                let rest = &name[prefix.len()..];
+                let tail = &rest[rest.find('.').unwrap_or(rest.len())..];
+                for m in &self.members[range.clone()] {
+                    if m.tail == tail && pattern_matches(m.pattern, name) {
+                        values[m.slot].add(value);
+                    }
+                }
+            }
+        }
+        values
+    }
+
+    fn audit(&self, reg: &MetricsRegistry) -> AuditReport {
+        let values = self.evaluate(reg);
+        let side = |terms: &[Term], slots: &[usize]| -> u128 {
+            terms
+                .iter()
+                .zip(slots)
+                .map(|(t, &s)| t.value(values[s]))
+                .sum()
+        };
+        let mut report = AuditReport::default();
+        let mut term_slots = &self.term_slots[..];
+        for &(inv, guard) in &self.laws {
+            let (lhs_slots, rest) = term_slots.split_at(inv.lhs.len());
+            let (rhs_slots, rest) = rest.split_at(inv.rhs.len());
+            term_slots = rest;
+            if guard.is_some_and(|g| values[g].count == 0) {
+                continue;
+            }
+            report.checked += 1;
+            let lhs = side(inv.lhs, lhs_slots);
+            let rhs = side(inv.rhs, rhs_slots);
+            let holds = match inv.rel {
+                Rel::Eq => lhs == rhs,
+                Rel::Le => lhs <= rhs,
+            };
+            if holds {
+                continue;
+            }
+            report.violations.push(Violation {
+                name: inv.name,
+                lhs,
+                rhs,
+                detail: format!(
+                    "invariant `{}` violated: {}, expected {} {} ({})",
+                    inv.name,
+                    describe_side(inv.lhs, lhs),
+                    inv.rel.as_str(),
+                    describe_side(inv.rhs, rhs),
+                    inv.doc,
+                ),
+            });
+        }
+        report
+    }
+}
+
+/// The compiled plan of one scope's laws, built once per process.
+fn plan(scope: Scope) -> &'static AuditPlan {
+    static RUN: OnceLock<AuditPlan> = OnceLock::new();
+    static CELL: OnceLock<AuditPlan> = OnceLock::new();
+    static PROFILE: OnceLock<AuditPlan> = OnceLock::new();
+    static BENCH: OnceLock<AuditPlan> = OnceLock::new();
+    let cell = match scope {
+        Scope::Run => &RUN,
+        Scope::Cell => &CELL,
+        Scope::Profile => &PROFILE,
+        Scope::Bench => &BENCH,
+    };
+    cell.get_or_init(|| AuditPlan::compile(invariants_for(scope)))
+}
+
+/// Audits a registry against every declared law of `scope`. A guarded
+/// law whose guard matches no published name is skipped and does not
+/// count toward `checked`.
+pub fn audit(reg: &MetricsRegistry, scope: Scope) -> AuditReport {
+    plan(scope).audit(reg)
 }
 
 #[cfg(test)]
@@ -669,6 +826,21 @@ mod tests {
         assert!(!is_concrete("devN.ssrs_raised"));
     }
 
+    /// Evaluates one term through a single-law compiled plan.
+    fn term_value(term: Term, reg: &MetricsRegistry) -> u128 {
+        let inv: &'static Invariant = Box::leak(Box::new(Invariant {
+            name: "term",
+            scope: Scope::Run,
+            lhs: Box::leak(Box::new([term])),
+            rel: Rel::Le,
+            rhs: &[],
+            guard: None,
+            doc: "",
+        }));
+        let plan = AuditPlan::compile([inv].into_iter());
+        term.value(plan.evaluate(reg)[plan.term_slots[0]])
+    }
+
     #[test]
     fn sum_and_count_terms_evaluate_over_families() {
         let mut reg = MetricsRegistry::new();
@@ -676,12 +848,80 @@ mod tests {
         reg.counter("dev1.ssrs_raised", 5);
         reg.label("dev0.kind", "gpu");
         reg.gauge("run.gpu_throughput", 0.5); // gauges never contribute
-        assert_eq!(Term::Sum("devN.ssrs_raised").eval(&reg), 15);
-        assert_eq!(Term::Count("devN.ssrs_raised").eval(&reg), 2);
+        assert_eq!(term_value(Term::Sum("devN.ssrs_raised"), &reg), 15);
+        assert_eq!(term_value(Term::Count("devN.ssrs_raised"), &reg), 2);
         // Count ranges over every published kind, so the per-device
         // identity labels are countable even though they never sum
-        assert_eq!(Term::Count("devN.kind").eval(&reg), 1);
-        assert_eq!(Term::Sum("devN.kind").eval(&reg), 0);
+        assert_eq!(term_value(Term::Count("devN.kind"), &reg), 1);
+        assert_eq!(term_value(Term::Sum("devN.kind"), &reg), 0);
+        assert_eq!(term_value(Term::Count("run.gpu_throughput"), &reg), 1);
+        assert_eq!(term_value(Term::Sum("run.gpu_throughput"), &reg), 0);
+    }
+
+    #[test]
+    fn family_patterns_split_at_their_first_placeholder() {
+        assert_eq!(
+            split_family("cpu.coreN.user_ns"),
+            Some(("cpu.core", ".user_ns"))
+        );
+        assert_eq!(split_family("devN.kind"), Some(("dev", ".kind")));
+        assert_eq!(
+            split_family("kernel.interrupts.coreN"),
+            Some(("kernel.interrupts.core", ""))
+        );
+        assert_eq!(
+            split_family("bench.cell.*.elapsed_ns"),
+            Some(("bench.cell.", ".elapsed_ns"))
+        );
+        assert_eq!(split_family("kernel.ipis"), None);
+    }
+
+    #[test]
+    fn the_plan_gives_each_distinct_pattern_one_slot() {
+        for scope in [Scope::Run, Scope::Bench] {
+            let plan = plan(scope);
+            let mut distinct = std::collections::BTreeSet::new();
+            for inv in invariants_for(scope) {
+                let terms = inv.lhs.iter().chain(inv.rhs).map(|t| t.pattern());
+                distinct.extend(terms.chain(inv.guard));
+            }
+            assert_eq!(plan.patterns.len(), distinct.len(), "{scope:?}");
+            assert_eq!(
+                plan.concrete.len() + plan.members.len(),
+                distinct.len(),
+                "{scope:?}"
+            );
+            // Routing by tail needs one placeholder per family pattern.
+            for m in &plan.members {
+                assert!(is_concrete(m.tail), "`{}` has two placeholders", m.pattern);
+            }
+            // One range scan per literal prefix.
+            let prefixes: std::collections::BTreeSet<_> =
+                plan.members.iter().map(|m| m.prefix).collect();
+            assert_eq!(plan.families.len(), prefixes.len(), "{scope:?}");
+        }
+    }
+
+    #[test]
+    fn near_miss_names_never_reach_a_family_slot() {
+        let mut reg = MetricsRegistry::new();
+        for name in [
+            "cpu.core.user_ns",
+            "cpu.core1a.user_ns",
+            "cpu.core",
+            "dev",
+            "devices.x",
+            "kernel.interrupts.core",
+            "kernel.interrupts.core2.x",
+        ] {
+            reg.counter(name, 7);
+        }
+        assert_eq!(term_value(Term::Sum("cpu.coreN.user_ns"), &reg), 0);
+        assert_eq!(term_value(Term::Count("devN.kind"), &reg), 0);
+        assert_eq!(term_value(Term::Sum("kernel.interrupts.coreN"), &reg), 0);
+        // `*` matches any one segment, the empty one included
+        reg.counter("bench.cell..elapsed_ns", 3);
+        assert_eq!(term_value(Term::Count("bench.cell.*.elapsed_ns"), &reg), 1);
     }
 
     #[test]

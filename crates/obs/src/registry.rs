@@ -1,6 +1,7 @@
 //! The metrics registry: a flat, ordered map of named measurements.
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 use hiss_sim::{Histogram, OnlineStats};
 
@@ -167,6 +168,19 @@ impl MetricsRegistry {
         self.metrics.iter().map(|(k, v)| (k.as_str(), v))
     }
 
+    /// Iterates the metrics whose name starts with `prefix`, in name
+    /// order, as one ordered range scan (an empty prefix yields every
+    /// metric).
+    pub fn iter_prefix<'a>(
+        &'a self,
+        prefix: &'a str,
+    ) -> impl Iterator<Item = (&'a str, &'a MetricValue)> + 'a {
+        self.metrics
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+            .take_while(move |(k, _)| k.starts_with(prefix))
+            .map(|(k, v)| (k.as_str(), v))
+    }
+
     /// Copies every metric of `other` into `self` under `prefix.`
     /// (e.g. `merge_prefixed("runner", &pool_profile_registry)` yields
     /// `runner.jobs`, `runner.wall_s`, …).
@@ -231,6 +245,30 @@ mod tests {
         outer.merge_prefixed("runner", &inner);
         assert_eq!(outer.counter_value("runner.jobs"), Some(10));
         assert_eq!(outer.gauge_value("runner.wall_s"), Some(0.25));
+    }
+
+    #[test]
+    fn prefix_iteration_is_an_ordered_range() {
+        let mut r = MetricsRegistry::new();
+        for name in [
+            "dev",
+            "dev0.kind",
+            "dev1.kind",
+            "devices.x",
+            "de",
+            "gpu0.kind",
+        ] {
+            r.counter(name, 1);
+        }
+        let names = |p: &str| {
+            r.iter_prefix(p)
+                .map(|(n, _)| n.to_string())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(names("dev"), ["dev", "dev0.kind", "dev1.kind", "devices.x"]);
+        assert_eq!(names("dev0."), ["dev0.kind"]);
+        assert!(names("kernel").is_empty());
+        assert_eq!(names("").len(), r.len());
     }
 
     #[test]

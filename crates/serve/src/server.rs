@@ -23,13 +23,20 @@
 // Sanctioned exemption (see lint.toml): scoped OS threads for the
 // accept loop and connection handlers; simulation state is untouched.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::protocol::{Request, Response};
 use crate::service::Service;
+
+/// Longest request line a connection may send, newline included. The
+/// largest committed pack is a few KiB of `.hiss` text, so 1 MiB leaves
+/// ample headroom while bounding what one unterminated line can make
+/// the server buffer. An over-cap line is answered with a `resp.error`
+/// naming the cap, and the connection is closed.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
 
 /// A bound (but not yet running) server.
 #[derive(Debug)]
@@ -102,8 +109,27 @@ impl Server {
         let mut line = String::new();
         loop {
             line.clear();
-            if reader.read_line(&mut line)? == 0 {
+            let read = (&mut reader)
+                .take(MAX_REQUEST_LINE as u64)
+                .read_line(&mut line)?;
+            if read == 0 {
                 return Ok(()); // client hung up
+            }
+            if read == MAX_REQUEST_LINE && !line.ends_with('\n') {
+                let message = format!(
+                    "request line exceeds the {MAX_REQUEST_LINE}-byte cap; closing the connection"
+                );
+                writeln!(writer, "{}", Response::Error { message }.encode())?;
+                writer.flush()?;
+                // Lingering close: stop sending, then discard up to one
+                // more cap of input so a client still writing its line
+                // reads the error instead of a connection reset.
+                writer.shutdown(Shutdown::Write)?;
+                std::io::copy(
+                    &mut reader.take(MAX_REQUEST_LINE as u64),
+                    &mut std::io::sink(),
+                )?;
+                return Ok(());
             }
             let text = line.trim_end_matches(['\r', '\n']);
             if text.is_empty() {
@@ -267,6 +293,42 @@ gpu = ["ubench"]
         line.clear();
         reader.read_line(&mut line).unwrap();
         assert_eq!(Response::decode(line.trim_end()).unwrap(), Response::Bye);
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn over_cap_request_line_is_refused_and_the_server_keeps_serving() {
+        let (server, handle) = start(None);
+        let addr = server.local_addr().unwrap();
+
+        // Twice the cap with no newline: without the cap the server
+        // would buffer it and wait for the rest of the line forever.
+        let conn = TcpStream::connect(addr).unwrap();
+        conn.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+            .unwrap();
+        let mut reader = BufReader::new(conn.try_clone().unwrap());
+        let mut writer = conn;
+        writer.write_all(&vec![b'x'; 2 * MAX_REQUEST_LINE]).unwrap();
+        let mut line = String::new();
+        reader
+            .read_line(&mut line)
+            .expect("error line before timeout");
+        match Response::decode(line.trim_end()).unwrap() {
+            Response::Error { message } => {
+                assert!(message.contains(&MAX_REQUEST_LINE.to_string()), "{message}");
+            }
+            other => panic!("expected an error line, got {other:?}"),
+        }
+        line.clear();
+        assert_eq!(reader.read_line(&mut line).unwrap(), 0, "connection closed");
+
+        // A second client is still served.
+        let addr = addr.to_string();
+        match client::submit(&addr, TINY, false).unwrap() {
+            Submission::Completed { cells, .. } => assert_eq!(cells, 1),
+            other => panic!("expected completion, got {other:?}"),
+        }
+        client::shutdown(&addr).unwrap();
         handle.join().unwrap();
     }
 

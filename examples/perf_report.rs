@@ -15,7 +15,9 @@
 //! targets, and one instrumented engine run (`x264`+`ubench`, the bench
 //! engine-suite cell) reporting simulated events/second and allocator
 //! traffic per run — the wall-clock trend the warn-only `bench.wall.*`
-//! gauges record but cannot gate on.
+//! gauges record but cannot gate on — and the cost of one
+//! conservation-law audit (`hiss_obs::invariants::audit`) of that
+//! run's finalized registry, which every simulated cell pays once.
 //!
 //! Emits one human-readable block and one machine-readable JSON line
 //! (prefix `PERF_REPORT_JSON` on stdout, and written verbatim to
@@ -33,6 +35,8 @@
 use std::time::Instant;
 
 use hiss::{BaselineCache, ExperimentBuilder, SystemConfig};
+use hiss_obs::schema::Scope;
+use hiss_obs::MetricsRegistry;
 use hiss_scenario::Scenario;
 
 /// Counts allocation traffic (per thread) so the engine-run row can
@@ -48,6 +52,8 @@ struct EngineRun {
     events_per_sec: f64,
     allocs: u64,
     alloc_bytes: u64,
+    /// The run's finalized registry (one fig3 cell's snapshot).
+    metrics: MetricsRegistry,
 }
 
 fn engine_run(cfg: &SystemConfig) -> EngineRun {
@@ -68,7 +74,20 @@ fn engine_run(cfg: &SystemConfig) -> EngineRun {
         events_per_sec: events as f64 / secs,
         allocs,
         alloc_bytes,
+        metrics: report.metrics,
     }
+}
+
+/// Mean wall time of one run-scope audit of `reg`, in microseconds.
+fn audit_us_per_call(reg: &MetricsRegistry) -> f64 {
+    // ~2k calls keeps the total in the milliseconds, well above timer
+    // resolution, at the compiled plan's tens of microseconds per call.
+    let calls = 2_000;
+    let start = Instant::now();
+    for _ in 0..calls {
+        assert!(hiss_obs::invariants::audit(std::hint::black_box(reg), Scope::Run).clean());
+    }
+    start.elapsed().as_secs_f64() * 1e6 / calls as f64
 }
 
 fn time_fig3(fig3: &Scenario, threads: usize, clear_cache: bool) -> (f64, usize) {
@@ -150,6 +169,7 @@ fn main() {
     let speedup_warm = serial_cold_s / parallel_warm_s;
     let events_per_sec = event_queue_events_per_sec();
     let engine = engine_run(&cfg);
+    let audit_us = audit_us_per_call(&engine.metrics);
 
     println!("perf_report: fig3 grid, {cells} cells, host parallelism {host_workers}");
     println!(
@@ -168,6 +188,10 @@ fn main() {
     println!(
         "  engine run     {:.3e} events/s   ({} events, {} allocs, {} bytes per run)",
         engine.events_per_sec, engine.events, engine.allocs, engine.alloc_bytes
+    );
+    println!(
+        "  audit          {audit_us:8.2} us/call  ({} names, run-scope laws)",
+        engine.metrics.len()
     );
     println!(
         "  baseline cache {} entries, {} hits / {} misses",
@@ -189,7 +213,8 @@ fn main() {
          \"engine_events_per_sec\":{:.0},\
          \"engine_events_per_run\":{},\
          \"engine_allocs_per_run\":{},\
-         \"engine_alloc_bytes_per_run\":{}}}",
+         \"engine_alloc_bytes_per_run\":{},\
+         \"engine_audit_us_per_call\":{audit_us:.2}}}",
         cells as f64 / parallel_cold_s,
         engine.events_per_sec,
         engine.events,

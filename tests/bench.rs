@@ -204,6 +204,7 @@ fn perf_report_example_still_emits_every_engine_key() {
         "engine_events_per_run",
         "engine_allocs_per_run",
         "engine_alloc_bytes_per_run",
+        "engine_audit_us_per_call",
     ] {
         assert!(
             source.contains(&format!("\\\"{key}\\\"")),
@@ -228,6 +229,14 @@ fn perf_report_example_still_emits_every_engine_key() {
         "engine_events_per_run input vanished"
     );
     assert!(allocs > 0 && alloc_bytes > 0, "alloc probe reports nothing");
+    // engine_audit_us_per_call times a clean run-scope audit of that
+    // same registry.
+    let audit = hiss_obs::invariants::audit(&report.metrics, hiss_obs::schema::Scope::Run);
+    assert!(
+        audit.clean() && audit.checked > 0,
+        "engine_audit_us_per_call input vanished: {:?}",
+        audit.violations
+    );
 
     // And the cache API surface the example leans on survives the
     // refactor: clear/len/hit_count/miss_count on the global cache.
