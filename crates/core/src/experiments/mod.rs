@@ -10,18 +10,18 @@
 //! |---|---|
 //! | [`tables`] | Table I (SSR catalogue), Table II (system configuration) |
 //! | [`fig4`] | Fig. 4 — CC6 residency with and without SSRs |
-//! | [`fig5`] | Fig. 5a/5b — µarchitectural pollution from ubench SSRs |
 //! | [`section4c`] | §IV-C — interrupt spreading, IPI inflation, coalescing reduction |
 //! | [`fig9`] | Fig. 9 — CC6 residency across mitigation combinations |
 //! | [`extensions`] | beyond the paper: multi-GPU scaling, window/limit sweeps, adaptive QoS |
 //!
 //! Figs. 3, 6, 7, 8 and 12 are `.hiss` packs under `scenarios/`,
-//! rendered by `hiss_scenario::figures`; `hiss-cli figures` prints every
-//! artifact. Functions taking workload lists accept explicit subsets so
-//! tests can run scaled-down grids.
+//! rendered by `hiss_scenario::figures`, which also renders Fig. 5a/5b
+//! (µarchitectural pollution) from the ubench column of the Fig. 3
+//! rows; `hiss-cli figures` prints every artifact. Functions taking
+//! workload lists accept explicit subsets so tests can run scaled-down
+//! grids.
 
 pub mod fig4;
-pub mod fig5;
 pub mod fig9;
 pub mod section4c;
 pub mod tables;

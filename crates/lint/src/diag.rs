@@ -69,6 +69,9 @@ pub enum Code {
     /// `[topology] steer` entry) names a core outside every swept core
     /// count — the run would misroute or abort mid-simulation.
     SteerTargetOutOfRange,
+    /// The full or quick grid expands to more cells than the lint
+    /// budget allows (or its size overflows).
+    GridTooLarge,
     /// An `[expect]` metric's registry mapping is missing from the
     /// `hiss-obs` schema.
     ExpectMetricNotInSchema,
@@ -126,6 +129,7 @@ impl Code {
         Code::BadReplicas,
         Code::RowsMismatch,
         Code::SteerTargetOutOfRange,
+        Code::GridTooLarge,
         Code::ExpectMetricNotInSchema,
         Code::DocMetricNotInSchema,
         Code::BenchMetricNotInSchema,
@@ -157,6 +161,7 @@ impl Code {
             Code::BadReplicas => "HL010",
             Code::RowsMismatch => "HL011",
             Code::SteerTargetOutOfRange => "HL012",
+            Code::GridTooLarge => "HL013",
             Code::ExpectMetricNotInSchema => "HL201",
             Code::DocMetricNotInSchema => "HL202",
             Code::BenchMetricNotInSchema => "HL203",

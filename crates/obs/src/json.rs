@@ -16,7 +16,9 @@ use std::fmt::Write as _;
 
 use crate::registry::{HistogramSnapshot, MetricValue, MetricsRegistry};
 
-pub(crate) fn escape(s: &str) -> String {
+/// Escapes `s` for use inside a JSON string literal: quotes,
+/// backslashes and control characters.
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

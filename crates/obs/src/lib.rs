@@ -40,7 +40,7 @@
 //! baseline lint, and the expect-band lint all enforce.
 
 pub mod invariants;
-mod json;
+pub mod json;
 mod registry;
 mod render;
 pub mod schema;

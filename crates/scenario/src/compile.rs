@@ -20,6 +20,8 @@
 //! configuration resolve the noisy run through the cache too (sharing it
 //! across packs and the remaining `hiss::experiments` runners).
 
+use std::sync::Arc;
+
 use hiss::{
     BaselineCache, CoreId, DeviceKind, DeviceSpec, DmaParams, ExperimentBuilder, GpuAppSpec,
     Mitigation, NicParams, QosParams, RunReport,
@@ -27,6 +29,7 @@ use hiss::{
 use hiss_obs::MetricsRegistry;
 
 use crate::spec::{Knobs, Scenario, Topology};
+use Datum::{Int, Null, Real};
 
 /// One fully resolved simulation job of a scenario batch.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,9 +49,10 @@ pub struct Cell {
     pub topology: Option<Topology>,
 }
 
-/// One result row: the cell's coordinates plus every metric an
-/// `[expect]` band can constrain.
-#[derive(Debug, Clone, PartialEq)]
+/// One result row: the cell's coordinates, its two baseline-normalised
+/// values and the run it came from. Every other result column is read
+/// from that run through [`COLUMNS`].
+#[derive(Debug, Clone)]
 pub struct Row {
     /// CPU application.
     pub cpu_app: String,
@@ -63,38 +67,132 @@ pub struct Row {
     /// application did not finish within the simulation-time cap.
     pub cpu_perf: Option<f64>,
     /// Normalised GPU performance (Fig. 3b semantics: against the GPU on
-    /// idle CPUs; SSR-rate ratio for `ubench`, work-throughput ratio
-    /// otherwise).
+    /// idle CPUs; see [`gpu_perf_vs`]).
     pub gpu_perf: f64,
-    /// CPU application runtime in nanoseconds, if it finished.
-    pub cpu_runtime_ns: Option<u64>,
-    /// Absolute GPU throughput (1.0 = a GPU that never stalls).
-    pub gpu_throughput: f64,
-    /// SSR completions per second.
-    pub ssr_rate: f64,
-    /// SSRs fully serviced.
-    pub ssrs_serviced: u64,
-    /// Mean end-to-end SSR latency, µs.
-    pub mean_ssr_latency_us: f64,
-    /// p99 end-to-end SSR latency, µs.
-    pub p99_ssr_latency_us: f64,
-    /// Mean CC6 residency across cores.
-    pub cc6_residency: f64,
-    /// Fraction of aggregate CPU time spent on SSR servicing.
-    pub ssr_overhead: f64,
-    /// Inter-processor interrupts sent.
-    pub ipis: u64,
-    /// QoS deferral episodes.
-    pub qos_deferrals: u64,
-    /// SSRs raised by non-GPU devices (NIC, DMA); 0 for all-GPU cells.
-    pub aux_ssrs_raised: u64,
-    /// p99 end-to-end latency of critical-class SSRs, µs; 0 on cells
-    /// without a criticality partition.
-    pub critical_p99_latency_us: f64,
-    /// Events pushed onto the simulation calendar.
-    pub events_pushed: u64,
-    /// Events popped from the calendar (`<= events_pushed` always).
-    pub events_popped: u64,
+    /// The cell's co-run.
+    pub report: Arc<RunReport>,
+}
+
+/// One value of a result column.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Datum {
+    /// A count.
+    Int(u64),
+    /// A measurement (JSON `null` when not finite).
+    Real(f64),
+    /// No value: the CPU application did not finish.
+    Null,
+}
+
+impl Datum {
+    /// The value an `[expect]` band aggregates; `None` for [`Null`].
+    pub fn as_f64(self) -> Option<f64> {
+        match self {
+            Int(n) => Some(n as f64),
+            Real(x) => Some(x),
+            Null => None,
+        }
+    }
+}
+
+/// One result column: how a [`Row`] value is named, checked and read.
+#[derive(Debug)]
+pub struct Column {
+    /// Key in the row JSON object.
+    pub key: &'static str,
+    /// `[expect]` band stem (`mean_<stem>`), when a band can constrain
+    /// the column.
+    pub stem: Option<&'static str>,
+    /// The `hiss_obs::schema` name the value is read from, when it has
+    /// one: `HL201` resolves it, `HL401` lifts its conservation laws to
+    /// bands and `HL404` counts a band on it as coverage.
+    pub schema: Option<&'static str>,
+    /// Reads the value from a row.
+    pub read: fn(&Row) -> Datum,
+}
+
+/// Columns are one per key, and `read` pointers are not comparable.
+impl PartialEq for Column {
+    fn eq(&self, other: &Column) -> bool {
+        self.key == other.key
+    }
+}
+
+const fn col(
+    key: &'static str,
+    stem: Option<&'static str>,
+    schema: Option<&'static str>,
+    read: fn(&Row) -> Datum,
+) -> Column {
+    Column {
+        key,
+        stem,
+        schema,
+        read,
+    }
+}
+
+fn counter(row: &Row, name: &str) -> Datum {
+    Int(row.report.metrics.counter_value(name).unwrap_or(0))
+}
+
+/// Every result column after the cell coordinates, in row-JSON order.
+/// A new `[expect]` metric is one entry here.
+#[rustfmt::skip]
+pub const COLUMNS: &[Column] = &[
+    col("cpu_perf", Some("cpu_perf"), None, |r| r.cpu_perf.map_or(Null, Real)),
+    col("gpu_perf", Some("gpu_perf"), None, |r| Real(r.gpu_perf)),
+    col("cpu_runtime_ns", None, Some("run.cpu_app_runtime_ns"), |r| {
+        r.report.cpu_app_runtime.map_or(Null, |t| Int(t.as_nanos()))
+    }),
+    col("gpu_throughput", Some("gpu_throughput"), Some("run.gpu_throughput"), |r| {
+        Real(r.report.gpu_throughput)
+    }),
+    col("ssr_rate", Some("ssr_rate"), Some("run.ssr_rate"), |r| Real(r.report.ssr_rate)),
+    col("ssrs_serviced", None, Some("kernel.ssrs_serviced"), |r| {
+        Int(r.report.kernel.ssrs_serviced)
+    }),
+    // Mean and p99 are both read off the latency histogram.
+    col("mean_ssr_latency_us", Some("ssr_latency_us"), Some("kernel.latency"), |r| {
+        Real(r.report.kernel.mean_ssr_latency.as_micros_f64())
+    }),
+    col("p99_ssr_latency_us", Some("p99_latency_us"), Some("kernel.latency"), |r| {
+        Real(r.report.kernel.p99_ssr_latency.as_micros_f64())
+    }),
+    col("cc6_residency", Some("cc6_residency"), Some("run.cc6_residency"), |r| {
+        Real(r.report.cc6_residency)
+    }),
+    col("ssr_overhead", Some("ssr_overhead"), Some("run.cpu_ssr_overhead"), |r| {
+        Real(r.report.cpu_ssr_overhead)
+    }),
+    col("ipis", Some("ipis"), Some("kernel.ipis"), |r| Int(r.report.kernel.ipis)),
+    col("qos_deferrals", Some("qos_deferrals"), Some("kernel.qos_deferrals"), |r| {
+        Int(r.report.kernel.qos_deferrals)
+    }),
+    col("aux_ssrs_raised", Some("aux_ssrs_raised"), Some("run.aux_ssrs_raised"), |r| {
+        counter(r, "run.aux_ssrs_raised")
+    }),
+    col("critical_p99_latency_us", Some("critical_p99_latency_us"),
+        Some("qos.class0.p99_latency_us"), |r| {
+        Real(r.report.metrics.gauge_value("qos.class0.p99_latency_us").unwrap_or(0.0))
+    }),
+    col("events_pushed", Some("events_pushed"), Some("run.events_pushed"), |r| {
+        counter(r, "run.events_pushed")
+    }),
+    col("events_popped", Some("events_popped"), Some("run.events_popped"), |r| {
+        counter(r, "run.events_popped")
+    }),
+];
+
+/// A run's GPU performance against `baseline` in the paper's figure
+/// metric for `gpu_app`: SSR throughput for ubench, work throughput for
+/// full applications (the Fig. 3b/6/7 y-axes).
+pub fn gpu_perf_vs(gpu_app: &str, run: &RunReport, baseline: &RunReport) -> f64 {
+    if gpu_app == "ubench" {
+        run.ssr_rate_vs(baseline)
+    } else {
+        run.gpu_perf_vs(baseline)
+    }
 }
 
 /// Expands a scenario into its cell grid for the given mode.
@@ -160,7 +258,7 @@ pub fn expand(sc: &Scenario, quick: bool) -> Vec<Cell> {
 /// Runs one cell: the noisy run plus its two cached baselines. Public
 /// so the serving layer (`hiss-serve`) can execute store-miss cells
 /// through exactly the batch compiler's path.
-pub fn run_cell_report(cell: &Cell) -> (Row, std::sync::Arc<RunReport>) {
+pub fn run_cell_report(cell: &Cell) -> (Row, Arc<RunReport>) {
     let cache = BaselineCache::global();
     let cfg = &cell.knobs.cfg;
     let base = cache.cpu_baseline(cfg, &cell.cpu_app, &cell.gpu_app);
@@ -201,14 +299,18 @@ pub fn run_cell_report(cell: &Cell) -> (Row, std::sync::Arc<RunReport>) {
         if let Some(c) = cell.knobs.criticality {
             b = b.criticality(c);
         }
-        std::sync::Arc::new(b.run())
+        Arc::new(b.run())
     };
-    let row = row_from_report(cell, &run, &base, &gpu_base);
+    let row = Row {
+        cpu_app: cell.cpu_app.clone(),
+        gpu_app: cell.gpu_app.clone(),
+        axes: cell.axes.clone(),
+        replica: cell.replica,
+        cpu_perf: run.cpu_perf_vs(&base),
+        gpu_perf: gpu_perf_vs(&cell.gpu_app, &run, &gpu_base),
+        report: Arc::clone(&run),
+    };
     (row, run)
-}
-
-fn run_cell(cell: &Cell) -> Row {
-    run_cell_report(cell).0
 }
 
 /// The cell's metrics snapshot: the run's registry plus `cell.*` labels
@@ -229,41 +331,23 @@ pub fn cell_metrics(cell: &Cell, run: &RunReport) -> MetricsRegistry {
     m
 }
 
-fn row_from_report(cell: &Cell, run: &RunReport, base: &RunReport, gpu_base: &RunReport) -> Row {
-    // ubench's figure metric is SSR throughput; full applications use
-    // work throughput (the paper's Fig. 3b/6/7 y-axes).
-    let gpu_perf = if cell.gpu_app == "ubench" {
-        run.ssr_rate_vs(gpu_base)
-    } else {
-        run.gpu_perf_vs(gpu_base)
-    };
+/// A row over a hand-built report, for unit tests of row consumers.
+#[cfg(test)]
+pub(crate) fn test_row(
+    cpu_app: &str,
+    gpu_app: &str,
+    cpu_perf: Option<f64>,
+    gpu_perf: f64,
+    report: RunReport,
+) -> Row {
     Row {
-        cpu_app: cell.cpu_app.clone(),
-        gpu_app: cell.gpu_app.clone(),
-        axes: cell.axes.clone(),
-        replica: cell.replica,
-        cpu_perf: run.cpu_perf_vs(base),
+        cpu_app: cpu_app.into(),
+        gpu_app: gpu_app.into(),
+        axes: Vec::new(),
+        replica: 0,
+        cpu_perf,
         gpu_perf,
-        cpu_runtime_ns: run.cpu_app_runtime.map(|t| t.as_nanos()),
-        gpu_throughput: run.gpu_throughput,
-        ssr_rate: run.ssr_rate,
-        ssrs_serviced: run.kernel.ssrs_serviced,
-        mean_ssr_latency_us: run.kernel.mean_ssr_latency.as_micros_f64(),
-        p99_ssr_latency_us: run.kernel.p99_ssr_latency.as_micros_f64(),
-        cc6_residency: run.cc6_residency,
-        ssr_overhead: run.cpu_ssr_overhead,
-        ipis: run.kernel.ipis,
-        qos_deferrals: run.kernel.qos_deferrals,
-        aux_ssrs_raised: run
-            .metrics
-            .counter_value("run.aux_ssrs_raised")
-            .unwrap_or(0),
-        critical_p99_latency_us: run
-            .metrics
-            .gauge_value("qos.class0.p99_latency_us")
-            .unwrap_or(0.0),
-        events_pushed: run.metrics.counter_value("run.events_pushed").unwrap_or(0),
-        events_popped: run.metrics.counter_value("run.events_popped").unwrap_or(0),
+        report: Arc::new(report),
     }
 }
 
@@ -271,7 +355,7 @@ fn row_from_report(cell: &Cell, run: &RunReport, base: &RunReport, gpu_base: &Ru
 /// rows in grid order (bit-identical whatever the worker count).
 pub fn run(sc: &Scenario, quick: bool) -> Vec<Row> {
     let cells = expand(sc, quick);
-    hiss::run_jobs(cells.len(), |i| run_cell(&cells[i]))
+    hiss::run_jobs(cells.len(), |i| run_cell_report(&cells[i]).0)
 }
 
 /// [`run`], additionally returning each cell's metrics snapshot (the
@@ -280,11 +364,12 @@ pub fn run(sc: &Scenario, quick: bool) -> Vec<Row> {
 /// state, so they too are bit-identical whatever the worker count.
 pub fn run_with_metrics(sc: &Scenario, quick: bool) -> Vec<(Row, MetricsRegistry)> {
     let cells = expand(sc, quick);
-    hiss::run_jobs(cells.len(), |i| {
-        let (row, report) = run_cell_report(&cells[i]);
-        let metrics = cell_metrics(&cells[i], &report);
-        (row, metrics)
-    })
+    hiss::run_jobs(cells.len(), |i| row_and_metrics(&cells[i]))
+}
+
+fn row_and_metrics(cell: &Cell) -> (Row, MetricsRegistry) {
+    let (row, report) = run_cell_report(cell);
+    (row, cell_metrics(cell, &report))
 }
 
 /// [`run_with_metrics`] with batch-level profiling: also returns a
@@ -295,9 +380,7 @@ pub fn run_with_metrics(sc: &Scenario, quick: bool) -> Vec<(Row, MetricsRegistry
 pub fn run_profiled(sc: &Scenario, quick: bool) -> (Vec<(Row, MetricsRegistry)>, MetricsRegistry) {
     let cells = expand(sc, quick);
     let (rows, profile) = hiss::run_jobs_profiled(hiss::thread_count(), cells.len(), |i| {
-        let (row, report) = run_cell_report(&cells[i]);
-        let metrics = cell_metrics(&cells[i], &report);
-        (row, metrics)
+        row_and_metrics(&cells[i])
     });
     let mut batch = MetricsRegistry::new();
     profile.publish(&mut batch, "pool");
@@ -309,6 +392,33 @@ pub fn run_profiled(sc: &Scenario, quick: bool) -> (Vec<(Row, MetricsRegistry)>,
 mod tests {
     use super::*;
     use crate::spec::Scenario;
+
+    /// A row's value in the column keyed `key`.
+    fn value(row: &Row, key: &str) -> Datum {
+        let column = COLUMNS.iter().find(|c| c.key == key).unwrap();
+        (column.read)(row)
+    }
+
+    /// `docs/SCENARIOS.md` documents every band stem in its `[expect]`
+    /// table.
+    #[test]
+    fn every_band_stem_is_documented() {
+        let doc = std::fs::read_to_string(
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../docs/SCENARIOS.md"),
+        )
+        .unwrap();
+        let section = doc
+            .split("### `[expect]`")
+            .nth(1)
+            .and_then(|s| s.split("\n#").next())
+            .expect("SCENARIOS.md has an [expect] section");
+        for stem in COLUMNS.iter().filter_map(|c| c.stem) {
+            assert!(
+                section.contains(&format!("\n| `{stem}` |")),
+                "band stem `{stem}` is missing from the [expect] table of docs/SCENARIOS.md"
+            );
+        }
+    }
 
     #[test]
     fn grid_is_gpu_major_with_sweeps_outermost() {
@@ -413,17 +523,26 @@ qos_percent = [0, 1]
                 m.label_value("cell.axis.qos_percent"),
                 Some(row.axes[0].1.as_str())
             );
-            assert_eq!(m.counter_value("kernel.ipis"), Some(row.ipis));
             assert_eq!(
-                m.counter_value("kernel.ssrs_serviced"),
-                Some(row.ssrs_serviced)
+                m.counter_value("kernel.ipis").map(Datum::Int),
+                Some(value(row, "ipis"))
             );
-            assert_eq!(m.gauge_value("run.cc6_residency"), Some(row.cc6_residency));
+            assert_eq!(
+                m.counter_value("kernel.ssrs_serviced").map(Datum::Int),
+                Some(value(row, "ssrs_serviced"))
+            );
+            assert_eq!(
+                m.gauge_value("run.cc6_residency").map(Datum::Real),
+                Some(value(row, "cc6_residency"))
+            );
         }
         // Plain `run` and the metrics variant agree row-for-row.
         let rows = run(&sc, false);
-        let row_only: Vec<&Row> = pairs.iter().map(|(r, _)| r).collect();
-        assert_eq!(rows.iter().collect::<Vec<_>>(), row_only);
+        let row_only: Vec<Row> = pairs.into_iter().map(|(r, _)| r).collect();
+        assert_eq!(
+            crate::output::to_jsonl(&rows),
+            crate::output::to_jsonl(&row_only)
+        );
     }
 
     /// The acceptance gate for the device generalisation: a `[topology]`
@@ -476,11 +595,9 @@ steer = [-1, 3, -1]
         let (row, m) = &pairs[0];
         assert_eq!(m.label_value("cell.topology"), Some("gpu@-,nic@3,dma@-"));
         assert_eq!(m.counter_value("run.devices"), Some(3));
-        assert!(row.aux_ssrs_raised > 0, "NIC+DMA must raise SSRs");
-        assert_eq!(
-            m.counter_value("run.aux_ssrs_raised"),
-            Some(row.aux_ssrs_raised)
-        );
+        let aux = m.counter_value("run.aux_ssrs_raised");
+        assert!(aux > Some(0), "NIC+DMA must raise SSRs");
+        assert_eq!(aux.map(Datum::Int), Some(value(row, "aux_ssrs_raised")));
     }
 
     /// `[criticality]` lowers per CPU application: only critical-listed
@@ -512,14 +629,15 @@ critical_devices = [0]
         let pairs = run_with_metrics(&sc, false);
         let (crit_row, crit_m) = &pairs[0];
         assert_eq!(crit_m.counter_value("qos.classes"), Some(2));
+        let crit_p99 = crit_m.gauge_value("qos.class0.p99_latency_us");
+        assert!(crit_p99 > Some(0.0));
         assert_eq!(
-            crit_m.gauge_value("qos.class0.p99_latency_us"),
-            Some(crit_row.critical_p99_latency_us)
+            crit_p99.map(Datum::Real),
+            Some(value(crit_row, "critical_p99_latency_us"))
         );
-        assert!(crit_row.critical_p99_latency_us > 0.0);
         let (ctrl_row, ctrl_m) = &pairs[1];
         assert_eq!(ctrl_m.counter_value("qos.classes"), None);
-        assert_eq!(ctrl_row.critical_p99_latency_us, 0.0);
+        assert_eq!(value(ctrl_row, "critical_p99_latency_us"), Datum::Real(0.0));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! regression harness.
 
 use crate::compile::Row;
-use crate::spec::{Agg, Expect, Metric, Scenario};
+use crate::spec::{Agg, Expect, Scenario};
 
 /// One failed expectation.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,27 +27,6 @@ impl std::fmt::Display for Violation {
             (None, line) => write!(f, "line {line}: {}", self.msg),
         }
     }
-}
-
-/// Extracts one metric from a row. `None` only for CPU-perf-derived
-/// metrics of a run whose CPU application never finished.
-fn metric_value(metric: Metric, row: &Row) -> Option<f64> {
-    Some(match metric {
-        Metric::CpuPerf => return row.cpu_perf,
-        Metric::GpuPerf => row.gpu_perf,
-        Metric::Cc6Residency => row.cc6_residency,
-        Metric::SsrOverhead => row.ssr_overhead,
-        Metric::MeanLatencyUs => row.mean_ssr_latency_us,
-        Metric::P99LatencyUs => row.p99_ssr_latency_us,
-        Metric::SsrRate => row.ssr_rate,
-        Metric::GpuThroughput => row.gpu_throughput,
-        Metric::QosDeferrals => row.qos_deferrals as f64,
-        Metric::Ipis => row.ipis as f64,
-        Metric::AuxSsrsRaised => row.aux_ssrs_raised as f64,
-        Metric::EventsPushed => row.events_pushed as f64,
-        Metric::EventsPopped => row.events_popped as f64,
-        Metric::CriticalP99LatencyUs => row.critical_p99_latency_us,
-    })
 }
 
 /// Aggregates the selected values, or `None` when there are none — an
@@ -78,7 +57,7 @@ pub fn check_band(expect: &Expect, rows: &[Row], file: Option<&str>) -> Option<V
     };
     let mut values = Vec::with_capacity(rows.len());
     for row in rows {
-        match metric_value(expect.metric, row) {
+        match (expect.column.read)(row).as_f64() {
             Some(v) => values.push(v),
             None => {
                 return violation(format!(
@@ -129,28 +108,9 @@ mod tests {
     use crate::spec::Scenario;
 
     fn row(cpu_perf: f64, p99_us: f64) -> Row {
-        Row {
-            cpu_app: "x264".into(),
-            gpu_app: "ubench".into(),
-            axes: Vec::new(),
-            replica: 0,
-            cpu_perf: Some(cpu_perf),
-            gpu_perf: 0.9,
-            cpu_runtime_ns: Some(1),
-            gpu_throughput: 0.5,
-            ssr_rate: 1000.0,
-            ssrs_serviced: 10,
-            mean_ssr_latency_us: 20.0,
-            p99_ssr_latency_us: p99_us,
-            cc6_residency: 0.1,
-            ssr_overhead: 0.05,
-            ipis: 3,
-            qos_deferrals: 0,
-            aux_ssrs_raised: 0,
-            critical_p99_latency_us: 0.0,
-            events_pushed: 100,
-            events_popped: 90,
-        }
+        let mut run = hiss::RunReport::default();
+        run.kernel.p99_ssr_latency = hiss::Ns::from_nanos((p99_us * 1e3) as u64);
+        crate::compile::test_row("x264", "ubench", Some(cpu_perf), 0.9, run)
     }
 
     fn scenario(expects: &str) -> Scenario {

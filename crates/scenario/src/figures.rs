@@ -1,5 +1,5 @@
 //! Row → paper-layout renderers for the figures `.hiss` packs express:
-//! Fig. 3a/3b (`fig3.hiss`), Fig. 6 (`fig6.hiss`), Figs. 7/8
+//! Figs. 3a/3b and 5a/5b (`fig3.hiss`), Fig. 6 (`fig6.hiss`), Figs. 7/8
 //! (`pareto.hiss`, `fig8.hiss`) and Fig. 12 (`fig12.hiss`).
 //!
 //! The renderers only rearrange and fold the values a pack run already
@@ -12,7 +12,7 @@
 use hiss::experiments::render_table;
 use hiss::Mitigation;
 
-use crate::compile::{expand, run, Cell, Row};
+use crate::compile::{expand, gpu_perf_vs, run, Cell, Row};
 use crate::spec::Scenario;
 
 /// Runs a pack and pairs every result row with the cell it came from.
@@ -104,23 +104,65 @@ pub fn fig3_summary(rows: &[Row]) -> Fig3Summary {
     }
 }
 
+/// Calibrated cold-miss conversion constant: the fraction of a fully
+/// cold application's accesses that miss again while re-warming (one
+/// constant for the whole suite).
+const K_CACHE: f64 = 0.022;
+/// Branch-predictor analogue of [`K_CACHE`].
+const K_BRANCH: f64 = 0.024;
+
+/// Fig. 5a/5b for one row: how much the co-run's SSRs raise the CPU
+/// application's L1D miss rate and branch misprediction rate, relative
+/// to its native rates (0.25 = 25 % more misses).
+///
+/// The paper reads hardware counters; the simulator's observable is
+/// time-averaged structure coldness (see `hiss-mem`), mapped to a rate
+/// increase by the first-order model that drives the IPC penalty:
+///
+/// ```text
+/// extra_miss_rate   = coldness × sensitivity × K
+/// relative increase = extra_miss_rate / native_miss_rate
+/// ```
+pub fn pollution(row: &Row) -> (f64, f64) {
+    let spec = hiss_workloads::CpuAppSpec::by_name(&row.cpu_app)
+        .expect("workload names were validated at parse time");
+    let run = &row.report;
+    let l1d = run.avg_cache_coldness * spec.cache_sensitivity * K_CACHE / spec.base_l1d_miss_rate;
+    let branch =
+        run.avg_branch_coldness * spec.branch_sensitivity * K_BRANCH / spec.base_branch_miss_rate;
+    (l1d, branch)
+}
+
+/// Renders Fig. 5 from the ubench column of Fig. 3 rows: one line per
+/// CPU application, in row order, with both panels' [`pollution`].
+pub fn render_fig5(rows: &[Row]) -> String {
+    let data: Vec<Vec<String>> = rows
+        .iter()
+        .filter(|r| r.gpu_app == "ubench")
+        .map(|r| {
+            let (l1d, branch) = pollution(r);
+            vec![
+                r.cpu_app.clone(),
+                format!("{:.1}%", l1d * 100.0),
+                format!("{:.1}%", branch * 100.0),
+            ]
+        })
+        .collect();
+    render_table(
+        &["CPU app", "L1D miss increase", "branch mispredict increase"],
+        &data,
+    )
+}
+
 /// Fig. 6 ratios of `treated` against `default`, the same pairing under
 /// the default configuration: the CPU runtime ratio (`None` unless both
-/// CPU applications finished) and the GPU ratio (SSR rate for ubench,
-/// work throughput otherwise). Bit-identical to
-/// `RunReport::{cpu_perf_vs, ssr_rate_vs, gpu_perf_vs}` on the two runs.
+/// CPU applications finished) and the GPU ratio ([`gpu_perf_vs`]).
 pub fn ratio_vs_default(treated: &Row, default: &Row) -> (Option<f64>, f64) {
-    let cpu = match (treated.cpu_runtime_ns, default.cpu_runtime_ns) {
-        (Some(mine), Some(base)) => Some(base as f64 / mine as f64),
-        _ => None,
-    };
-    let ratio = |mine: f64, base: f64| if base == 0.0 { 0.0 } else { mine / base };
-    let gpu = if treated.gpu_app == "ubench" {
-        ratio(treated.ssr_rate, default.ssr_rate)
-    } else {
-        ratio(treated.gpu_throughput, default.gpu_throughput)
-    };
-    (cpu, gpu)
+    let (mine, base) = (&treated.report, &default.report);
+    (
+        mine.cpu_perf_vs(base),
+        gpu_perf_vs(&treated.gpu_app, mine, base),
+    )
 }
 
 /// Renders Fig. 6 from a pack sweeping `mitigation` over `"default"`
@@ -261,7 +303,7 @@ pub fn render_fig12(pairs: &[(Cell, Row)]) -> String {
                 throttle,
                 cell3(r.cpu_perf),
                 format!("{:.3}", r.gpu_perf),
-                format!("{:.1}%", r.ssr_overhead * 100.0),
+                format!("{:.1}%", r.report.cpu_ssr_overhead * 100.0),
             ]
         })
         .collect();
@@ -280,31 +322,19 @@ pub fn render_fig12(pairs: &[(Cell, Row)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::test_row;
     use crate::spec::Knobs;
+    use hiss::{Ns, RunReport};
+    use std::sync::Arc;
 
     fn row(cpu_app: &str, gpu_app: &str, cpu_perf: f64, gpu_perf: f64) -> Row {
-        Row {
-            cpu_app: cpu_app.into(),
-            gpu_app: gpu_app.into(),
-            cpu_perf: Some(cpu_perf),
-            gpu_perf,
-            cpu_runtime_ns: Some(1_000),
+        let run = RunReport {
+            cpu_app_runtime: Some(Ns::from_nanos(1_000)),
             gpu_throughput: 0.5,
             ssr_rate: 1_000.0,
-            axes: Vec::new(),
-            replica: 0,
-            ssrs_serviced: 0,
-            mean_ssr_latency_us: 0.0,
-            p99_ssr_latency_us: 0.0,
-            cc6_residency: 0.0,
-            ssr_overhead: 0.0,
-            ipis: 0,
-            qos_deferrals: 0,
-            aux_ssrs_raised: 0,
-            critical_p99_latency_us: 0.0,
-            events_pushed: 0,
-            events_popped: 0,
-        }
+            ..RunReport::default()
+        };
+        test_row(cpu_app, gpu_app, Some(cpu_perf), gpu_perf, run)
     }
 
     fn pair(m: Mitigation, r: Row) -> (Cell, Row) {
@@ -411,10 +441,11 @@ mod tests {
             ..Mitigation::DEFAULT
         };
         let mut treated = row("x264", "sssp", 0.5, 0.5);
-        treated.cpu_runtime_ns = Some(800);
-        treated.gpu_throughput = 0.25;
+        let run = Arc::make_mut(&mut treated.report);
+        run.cpu_app_runtime = Some(Ns::from_nanos(800));
+        run.gpu_throughput = 0.25;
         let mut ubench = row("x264", "ubench", 0.5, 0.5);
-        ubench.ssr_rate = 3_000.0;
+        Arc::make_mut(&mut ubench.report).ssr_rate = 3_000.0;
         let pairs = vec![
             pair(Mitigation::DEFAULT, row("x264", "sssp", 0.5, 0.5)),
             pair(Mitigation::DEFAULT, row("x264", "ubench", 0.5, 0.5)),
@@ -463,5 +494,37 @@ mod tests {
             ],
             "{text}"
         );
+    }
+
+    /// Fig. 5 reads the ubench column of a Fig. 3 grid: pollution is
+    /// visible for every application and app-dependent.
+    #[test]
+    fn pollution_is_visible_and_app_dependent() {
+        let sc = Scenario::from_str(
+            "[scenario]\nname = \"t\"\n[workload]\n\
+             cpu = [\"fluidanimate\", \"canneal\", \"x264\"]\ngpu = [\"sssp\", \"ubench\"]\n",
+        )
+        .unwrap();
+        let rows = run(&sc, false);
+        let ubench: Vec<&Row> = rows.iter().filter(|r| r.gpu_app == "ubench").collect();
+        for r in &ubench {
+            let (l1d, branch) = pollution(r);
+            assert!(l1d > 0.0, "{} shows no cache pollution", r.cpu_app);
+            assert!(branch > 0.0, "{} shows no branch pollution", r.cpu_app);
+        }
+        let get = |n: &str| pollution(ubench.iter().find(|r| r.cpu_app == n).unwrap());
+        // canneal's native miss rate is huge, so its *relative* increase
+        // is small (matches the paper's low canneal bar).
+        assert!(get("canneal").0 < get("fluidanimate").0);
+        // x264 dominates the branch panel.
+        assert!(get("x264").1 > get("canneal").1);
+        // The table holds the ubench column only, in row order.
+        let text = render_fig5(&rows);
+        let apps: Vec<&str> = text
+            .lines()
+            .skip(2)
+            .filter_map(|l| l.split_whitespace().next())
+            .collect();
+        assert_eq!(apps, ["fluidanimate", "canneal", "x264"], "{text}");
     }
 }

@@ -12,13 +12,15 @@
 //!   diagnostics for every schema violation,
 //! - a **batch compiler** ([`compile`]) lowering a scenario into pure
 //!   jobs on the [`hiss::runner`] pool, reusing the process-wide
-//!   [`hiss::BaselineCache`],
+//!   [`hiss::BaselineCache`]; each result [`Row`] holds its run, and
+//!   one column table ([`compile::COLUMNS`]) names, checks and reads
+//!   every value it reports,
 //! - **emitters** ([`output`]) for JSON-lines and ASCII tables,
 //! - an **expect checker** ([`expect`]) that turns the committed
 //!   `scenarios/` library into a golden regression harness
 //!   (`tests/scenarios.rs`), and
 //! - **figure renderers** ([`figures`]) printing pack rows in the
-//!   paper's Fig. 3, 6, 7, 8 and 12 layouts for `hiss-cli figures`.
+//!   paper's Fig. 3, 5, 6, 7, 8 and 12 layouts for `hiss-cli figures`.
 //!
 //! # Example
 //!
@@ -55,7 +57,7 @@ pub use compile::{
 };
 pub use expect::{check, Violation};
 pub use parse::{Document, ScenarioError, Value};
-pub use spec::{Agg, Expect, Field, Knobs, Metric, Scenario, SweepAxis, Topology, Workload};
+pub use spec::{Agg, Expect, Field, Knobs, Scenario, SweepAxis, Topology, Workload};
 
 /// Loads and validates a scenario file from disk. The returned scenario
 /// remembers its path ([`Scenario::source`]), so expect violations are

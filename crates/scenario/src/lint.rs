@@ -1,27 +1,38 @@
-//! Scenario semantic lints (`HL000`–`HL011`, `HL201`): static analysis
-//! of `.hiss` files with **no simulation executed**.
+//! Scenario semantic lints (`HL000`–`HL013`, `HL201`, `HL401`): static
+//! analysis of `.hiss` files with **no simulation executed**.
 //!
 //! Three layers run in order, stopping at the first that fails:
 //!
 //! 1. parse + schema validation (the existing [`crate::parse`] /
 //!    [`crate::spec`] diagnostics, surfaced with their stable codes),
 //! 2. semantic checks on the validated [`Scenario`] — bands that can
-//!    never bind, degenerate or duplicated sweep grids (reusing the
-//!    [`crate::compile`] lowering in dry-run mode), base keys a sweep
-//!    axis shadows, pinned row counts that disagree with the grid,
+//!    never bind, grids over the [`MAX_GRID_CELLS`] budget (counted
+//!    before anything expands them), degenerate or duplicated sweep
+//!    grids (reusing the [`crate::compile`] lowering in dry-run mode),
+//!    base keys a sweep axis shadows, pinned row counts that disagree
+//!    with the grid,
 //! 3. the metric-schema half-check: every `[expect]` metric's registry
 //!    mapping must exist in [`hiss_obs::schema`].
 //!
 //! All findings report through [`hiss_lint::Diagnostic`]; the catalogue
 //! with examples is `docs/LINTS.md`.
 
-use std::collections::BTreeSet;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 use hiss_lint::{Code, Diagnostic};
 
-use crate::parse::{Document, Section};
-use crate::spec::{Agg, Field, Knobs, Metric, Scenario};
+use crate::compile::{Column, COLUMNS};
+use crate::parse::{Document, Section, Value};
+use crate::spec::{Agg, Field, Knobs, Scenario};
+
+/// The most cells a scenario may expand to, in full or quick mode.
+/// About 40 times the largest committed pack (`fig8.hiss` runs 520), it
+/// bounds the work a submission can ask of a serve thread and of lint's
+/// own duplicate-cell check, which keys every cell (about 60 MB at the
+/// budget).
+pub const MAX_GRID_CELLS: usize = 20_000;
 
 /// Lints one scenario file on disk. The path is the diagnostic label.
 pub fn lint_file(path: &Path) -> Vec<Diagnostic> {
@@ -50,9 +61,14 @@ pub fn lint_text(file: &str, text: &str) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     check_row_selection(file, &doc, &sc, &mut diags);
     check_contradictory_bands(file, &sc, &mut diags);
-    check_sweep_axes(file, &sc, &mut diags);
+    match (grid_rows(&sc, false), grid_rows(&sc, true)) {
+        (Some(full), Some(quick)) if full.max(quick) <= MAX_GRID_CELLS => {
+            check_sweep_axes(file, &sc, &mut diags);
+            check_pinned_rows(file, &doc, &sc, full, quick, &mut diags);
+        }
+        (full, quick) => diags.push(grid_too_large(file, &doc, &sc, full, quick)),
+    }
     check_shadowed_base_keys(file, &doc, &sc, &mut diags);
-    check_pinned_rows(file, &doc, &sc, &mut diags);
     check_expect_schema(file, &sc, &mut diags);
     check_invariant_bands(file, &sc, &mut diags);
     hiss_lint::diag::sort(&mut diags);
@@ -106,7 +122,7 @@ fn check_contradictory_bands(file: &str, sc: &Scenario, out: &mut Vec<Diagnostic
         for max_band in sc
             .expects
             .iter()
-            .filter(|e| e.agg == Agg::Max && e.metric == min_band.metric)
+            .filter(|e| e.agg == Agg::Max && e.column == min_band.column)
         {
             if min_band.lo > max_band.hi {
                 out.push(Diagnostic::new(
@@ -131,6 +147,16 @@ fn knob_key(knobs: &Knobs) -> String {
     format!("{knobs:?}")
 }
 
+/// A sweep value's identity for literal-duplicate detection: two values
+/// share a key exactly when they are `==` (`+ 0.0` folds `-0.0` into
+/// `0.0`, as `==` does).
+fn literal_key(value: &Value) -> String {
+    match value {
+        Value::Float(x) => format!("float {}", x + 0.0),
+        other => format!("{} {}", other.type_name(), other.render()),
+    }
+}
+
 /// HL006/HL007/HL008 (per axis) — degenerate axes, literal duplicate
 /// values, and distinct values that resolve to identical knobs (e.g.
 /// the `"mono"` / `"monolithic"` combo aliases).
@@ -151,32 +177,32 @@ fn check_sweep_axes(file: &str, sc: &Scenario, out: &mut Vec<Diagnostic>) {
         }
         // Resolve each value against the base knobs in isolation; two
         // values with the same resolution duplicate every cell pair.
-        let resolved: Vec<String> = axis
-            .values
-            .iter()
-            .map(|v| {
-                let mut scratch = sc.base;
-                axis.field
-                    .apply(&mut scratch, v, axis.line)
-                    .expect("sweep values were validated at parse time");
-                knob_key(&scratch)
-            })
-            .collect();
-        for j in 1..axis.values.len() {
-            for i in 0..j {
-                if axis.values[i] == axis.values[j] {
-                    any_duplicates = true;
-                    out.push(Diagnostic::new(
-                        Code::DuplicateSweepValue,
-                        Some(file),
-                        axis.line,
-                        format!(
-                            "sweep axis {:?} lists value {} twice",
-                            axis.field.key(),
-                            axis.values[j].render()
-                        ),
-                    ));
-                } else if resolved[i] == resolved[j] {
+        let mut literals = BTreeSet::new();
+        let mut resolved: BTreeMap<String, &Value> = BTreeMap::new();
+        for value in &axis.values {
+            if !literals.insert(literal_key(value)) {
+                any_duplicates = true;
+                out.push(Diagnostic::new(
+                    Code::DuplicateSweepValue,
+                    Some(file),
+                    axis.line,
+                    format!(
+                        "sweep axis {:?} lists value {} twice",
+                        axis.field.key(),
+                        value.render()
+                    ),
+                ));
+                continue;
+            }
+            let mut scratch = sc.base;
+            axis.field
+                .apply(&mut scratch, value, axis.line)
+                .expect("sweep values were validated at parse time");
+            match resolved.entry(knob_key(&scratch)) {
+                Entry::Vacant(slot) => {
+                    slot.insert(value);
+                }
+                Entry::Occupied(earlier) => {
                     any_duplicates = true;
                     out.push(Diagnostic::new(
                         Code::DuplicateCells,
@@ -185,8 +211,8 @@ fn check_sweep_axes(file: &str, sc: &Scenario, out: &mut Vec<Diagnostic>) {
                         format!(
                             "sweep values {} and {} of axis {:?} resolve to identical \
                              configurations: every cell of the grid is duplicated",
-                            axis.values[i].render(),
-                            axis.values[j].render(),
+                            earlier.get().render(),
+                            value.render(),
                             axis.field.key()
                         ),
                     ));
@@ -248,7 +274,7 @@ fn check_shadowed_base_keys(file: &str, doc: &Document, sc: &Scenario, out: &mut
             continue;
         };
         for e in &section.entries {
-            let Some(field) = field_by_key(&e.key) else {
+            let Some(field) = Field::by_key(&e.key) else {
                 continue;
             };
             let shadowing = sc.sweeps.iter().map(|a| a.field).find(|axis| {
@@ -263,48 +289,59 @@ fn check_shadowed_base_keys(file: &str, doc: &Document, sc: &Scenario, out: &mut
     }
 }
 
-/// `Field::by_key` is private to `spec`; the lint only needs the keys
-/// `[system]`/`[mitigation]`/`[criticality]` accept, which `apply`
-/// already validated.
-fn field_by_key(key: &str) -> Option<Field> {
-    [
-        Field::Cores,
-        Field::Gpus,
-        Field::Seed,
-        Field::TimerTickUs,
-        Field::CoalesceWindowUs,
-        Field::MaxSimTimeMs,
-        Field::Cc6,
-        Field::SteerTarget,
-        Field::Steer,
-        Field::Coalesce,
-        Field::Monolithic,
-        Field::QosPercent,
-        Field::MitigationCombo,
-        Field::CritReserve,
-        Field::CritQuota,
-        Field::CritCores,
-        Field::CritWindowUs,
-        Field::BeWindowUs,
-    ]
-    .into_iter()
-    .find(|f| f.key() == key)
+/// The number of rows a full (or quick) run of the scenario produces,
+/// or `None` when the count overflows `usize`.
+fn grid_rows(sc: &Scenario, quick: bool) -> Option<usize> {
+    let apps = [sc.cpu_apps(quick).len(), sc.gpu_apps(quick).len()];
+    sc.sweeps
+        .iter()
+        .map(|a| a.values.len())
+        .chain(apps)
+        .chain([sc.replicas as usize])
+        .try_fold(1usize, usize::checked_mul)
 }
 
-/// The number of rows a full (or quick) run of the scenario produces.
-fn grid_rows(sc: &Scenario, quick: bool) -> usize {
-    let sweep: usize = sc.sweeps.iter().map(|a| a.values.len()).product();
-    sweep * sc.cpu_apps(quick).len() * sc.gpu_apps(quick).len() * sc.replicas as usize
+/// HL013 — the full or quick grid is over [`MAX_GRID_CELLS`] (or its
+/// size overflows). Counted without expanding anything.
+fn grid_too_large(
+    file: &str,
+    doc: &Document,
+    sc: &Scenario,
+    full: Option<usize>,
+    quick: Option<usize>,
+) -> Diagnostic {
+    let count =
+        |n: Option<usize>| n.map_or_else(|| format!("over {}", usize::MAX), |n| n.to_string());
+    let line = sc
+        .sweeps
+        .first()
+        .map_or_else(|| entry_line(doc, "workload", "cpu"), |a| a.line);
+    Diagnostic::new(
+        Code::GridTooLarge,
+        Some(file),
+        line,
+        format!(
+            "the grid has {} cells in full mode and {} in quick mode, over the budget of \
+             {MAX_GRID_CELLS}: split the sweep across scenarios",
+            count(full),
+            count(quick)
+        ),
+    )
 }
 
 /// HL011 — `[run] rows` pins a count matching neither the full nor the
 /// quick grid, so the row-count expectation fails in every mode.
-fn check_pinned_rows(file: &str, doc: &Document, sc: &Scenario, out: &mut Vec<Diagnostic>) {
+fn check_pinned_rows(
+    file: &str,
+    doc: &Document,
+    sc: &Scenario,
+    full: usize,
+    quick: usize,
+    out: &mut Vec<Diagnostic>,
+) {
     let Some(rows) = sc.expected_rows else {
         return;
     };
-    let full = grid_rows(sc, false);
-    let quick = grid_rows(sc, true);
     if rows != full && rows != quick {
         out.push(Diagnostic::new(
             Code::RowsMismatch,
@@ -322,7 +359,7 @@ fn check_pinned_rows(file: &str, doc: &Document, sc: &Scenario, out: &mut Vec<Di
 /// in the `hiss-obs` schema (guards against spec/schema drift).
 fn check_expect_schema(file: &str, sc: &Scenario, out: &mut Vec<Diagnostic>) {
     for expect in &sc.expects {
-        let Some(key) = expect.metric.registry_key() else {
+        let Some(key) = expect.column.schema else {
             continue;
         };
         if hiss_obs::schema::lookup(key).is_none() {
@@ -333,7 +370,7 @@ fn check_expect_schema(file: &str, sc: &Scenario, out: &mut Vec<Diagnostic>) {
                 format!(
                     "expect metric `{}` maps to registry name `{key}`, which is not \
                      declared in the hiss-obs schema",
-                    expect.metric.key()
+                    expect.column.stem.unwrap_or_default()
                 ),
             ));
         }
@@ -353,22 +390,21 @@ fn check_expect_schema(file: &str, sc: &Scenario, out: &mut Vec<Diagnostic>) {
 fn check_invariant_bands(file: &str, sc: &Scenario, out: &mut Vec<Diagnostic>) {
     use hiss_obs::invariants::{Invariant, Rel, Term, INVARIANTS};
 
-    let metric_for = |registry_name: &str| {
-        Metric::ALL
+    let column_for = |registry_name: &str| {
+        COLUMNS
             .iter()
-            .copied()
-            .find(|m| m.registry_key() == Some(registry_name))
+            .find(|c| c.stem.is_some() && c.schema == Some(registry_name))
     };
     let rank = |agg: Agg| match agg {
         Agg::Min => 0,
         Agg::Mean => 1,
         Agg::Max => 2,
     };
-    let mut flag_le = |inv: &Invariant, a: Metric, b: Metric| {
+    let mut flag_le = |inv: &Invariant, a: &Column, b: &Column| {
         // a ≤ b row-wise; contradiction: lower-bounding g1(a) above
         // g2(b)'s upper bound with rank(g1) ≤ rank(g2).
-        for lo_band in sc.expects.iter().filter(|e| e.metric == a) {
-            for hi_band in sc.expects.iter().filter(|e| e.metric == b) {
+        for lo_band in sc.expects.iter().filter(|e| e.column == a) {
+            for hi_band in sc.expects.iter().filter(|e| e.column == b) {
                 if rank(lo_band.agg) <= rank(hi_band.agg) && lo_band.lo > hi_band.hi {
                     out.push(Diagnostic::new(
                         Code::ExpectContradictsInvariant,
@@ -380,9 +416,9 @@ fn check_invariant_bands(file: &str, sc: &Scenario, out: &mut Vec<Diagnostic>) {
                             lo_band.key,
                             hi_band.key,
                             inv.name,
-                            a.key(),
+                            a.stem.unwrap_or_default(),
                             inv.rel.as_str(),
-                            b.key(),
+                            b.stem.unwrap_or_default(),
                             lo_band.key,
                             lo_band.lo,
                             hi_band.key,
@@ -397,7 +433,7 @@ fn check_invariant_bands(file: &str, sc: &Scenario, out: &mut Vec<Diagnostic>) {
         let (&[Term::Sum(l)], &[Term::Sum(r)]) = (inv.lhs, inv.rhs) else {
             continue;
         };
-        let (Some(a), Some(b)) = (metric_for(l), metric_for(r)) else {
+        let (Some(a), Some(b)) = (column_for(l), column_for(r)) else {
             continue;
         };
         flag_le(inv, a, b);
@@ -442,7 +478,7 @@ pub fn check_coverage(root: &Path) -> Vec<Diagnostic> {
             continue;
         };
         for expect in &sc.expects {
-            if let Some(key) = expect.metric.registry_key() {
+            if let Some(key) = expect.column.schema {
                 exercised_metrics.insert(key.to_string());
             }
         }
@@ -462,14 +498,14 @@ pub fn check_coverage(root: &Path) -> Vec<Diagnostic> {
                 continue;
             };
             for e in &section.entries {
-                if let Some(field) = field_by_key(&e.key) {
+                if let Some(field) = Field::by_key(&e.key) {
                     mark(field);
                 }
             }
         }
         for cell in crate::compile::expand(&sc, false) {
             for (key, _) in &cell.axes {
-                if let Some(field) = field_by_key(key) {
+                if let Some(field) = Field::by_key(key) {
                     mark(field);
                 }
             }
@@ -498,26 +534,7 @@ pub fn check_coverage(root: &Path) -> Vec<Diagnostic> {
     ));
 
     let scenarios_label = dir.display().to_string();
-    for field in [
-        Field::Cores,
-        Field::Gpus,
-        Field::Seed,
-        Field::TimerTickUs,
-        Field::CoalesceWindowUs,
-        Field::MaxSimTimeMs,
-        Field::Cc6,
-        Field::SteerTarget,
-        Field::Steer,
-        Field::Coalesce,
-        Field::Monolithic,
-        Field::QosPercent,
-        Field::MitigationCombo,
-        Field::CritReserve,
-        Field::CritQuota,
-        Field::CritCores,
-        Field::CritWindowUs,
-        Field::BeWindowUs,
-    ] {
+    for field in Field::ALL {
         if !exercised_fields.contains(field.key()) {
             diags.push(Diagnostic::new(
                 Code::DeadKnob,
@@ -666,6 +683,35 @@ quick_cpu = []
         assert!(lint("[run]\nreplicas = 2\nrows = 4\n[sweep]\ngpus = [1, 2]\n").is_empty());
     }
 
+    /// A sweep axis of `n` distinct values.
+    fn axis(key: &str, n: usize) -> String {
+        let values: Vec<String> = (1..=n).map(|i| i.to_string()).collect();
+        format!("{key} = [{}]\n", values.join(", "))
+    }
+
+    #[test]
+    fn grids_over_the_budget_are_counted_in_both_modes() {
+        // 1 × 1 apps × 64 replicas × 400 seeds = 25,600 full cells.
+        let text = format!("[run]\nreplicas = 64\n[sweep]\n{}", axis("seed", 400));
+        let d = lint(&text);
+        assert_eq!(codes(&d), vec![Code::GridTooLarge]);
+        assert!(
+            d[0].msg.contains("25600 cells in full mode"),
+            "{}",
+            d[0].msg
+        );
+        // At the budget the grid lints clean.
+        let text = format!("[run]\nreplicas = 20\n[sweep]\n{}", axis("seed", 1_000));
+        assert_eq!(
+            grid_rows(
+                &Scenario::from_str(&format!("{BASE}{text}")).unwrap(),
+                false
+            ),
+            Some(MAX_GRID_CELLS)
+        );
+        assert!(!codes(&lint(&text)).contains(&Code::GridTooLarge));
+    }
+
     #[test]
     fn out_of_range_steer_targets_lint_as_hl012() {
         let d = lint("[system]\nsteer_target = 9\n");
@@ -755,14 +801,14 @@ quick_cpu = []
 
     #[test]
     fn expect_metrics_resolve_in_the_obs_schema() {
-        // Every metric in the catalog that maps to a registry name must
-        // resolve — this is the drift guard itself, as a unit test.
-        for metric in crate::spec::Metric::ALL {
-            if let Some(key) = metric.registry_key() {
+        // Every column that maps to a registry name must resolve —
+        // this is the drift guard itself, as a unit test.
+        for column in COLUMNS {
+            if let Some(key) = column.schema {
                 assert!(
                     hiss_obs::schema::lookup(key).is_some(),
-                    "metric {:?} maps to `{key}`, absent from the schema",
-                    metric.key()
+                    "column {:?} maps to `{key}`, absent from the schema",
+                    column.key
                 );
             }
         }

@@ -7,22 +7,9 @@
 
 use std::fmt::Write as _;
 
-use crate::compile::Row;
+use hiss_obs::json::escape;
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+use crate::compile::{Datum, Row, COLUMNS};
 
 fn json_f64(x: f64) -> String {
     if x.is_finite() {
@@ -32,57 +19,27 @@ fn json_f64(x: f64) -> String {
     }
 }
 
-/// Encodes one row as a single-line JSON object.
+/// Encodes one row as a single-line JSON object: the cell coordinates,
+/// then every [`COLUMNS`] entry in table order.
 pub fn row_json(row: &Row) -> String {
     let mut out = String::with_capacity(256);
     out.push('{');
-    let _ = write!(out, "\"cpu_app\":\"{}\"", json_escape(&row.cpu_app));
-    let _ = write!(out, ",\"gpu_app\":\"{}\"", json_escape(&row.gpu_app));
+    let _ = write!(out, "\"cpu_app\":\"{}\"", escape(&row.cpu_app));
+    let _ = write!(out, ",\"gpu_app\":\"{}\"", escape(&row.gpu_app));
     for (key, value) in &row.axes {
-        let _ = write!(
-            out,
-            ",\"axis_{}\":\"{}\"",
-            json_escape(key),
-            json_escape(value)
-        );
+        let _ = write!(out, ",\"axis_{}\":\"{}\"", escape(key), escape(value));
     }
     let _ = write!(out, ",\"replica\":{}", row.replica);
-    let cpu_perf = row
-        .cpu_perf
-        .map(json_f64)
-        .unwrap_or_else(|| "null".to_string());
-    let _ = write!(out, ",\"cpu_perf\":{cpu_perf}");
-    let _ = write!(out, ",\"gpu_perf\":{}", json_f64(row.gpu_perf));
-    let runtime = row
-        .cpu_runtime_ns
-        .map(|t| t.to_string())
-        .unwrap_or_else(|| "null".to_string());
-    let _ = write!(out, ",\"cpu_runtime_ns\":{runtime}");
-    let _ = write!(out, ",\"gpu_throughput\":{}", json_f64(row.gpu_throughput));
-    let _ = write!(out, ",\"ssr_rate\":{}", json_f64(row.ssr_rate));
-    let _ = write!(out, ",\"ssrs_serviced\":{}", row.ssrs_serviced);
-    let _ = write!(
-        out,
-        ",\"mean_ssr_latency_us\":{}",
-        json_f64(row.mean_ssr_latency_us)
-    );
-    let _ = write!(
-        out,
-        ",\"p99_ssr_latency_us\":{}",
-        json_f64(row.p99_ssr_latency_us)
-    );
-    let _ = write!(out, ",\"cc6_residency\":{}", json_f64(row.cc6_residency));
-    let _ = write!(out, ",\"ssr_overhead\":{}", json_f64(row.ssr_overhead));
-    let _ = write!(out, ",\"ipis\":{}", row.ipis);
-    let _ = write!(out, ",\"qos_deferrals\":{}", row.qos_deferrals);
-    let _ = write!(out, ",\"aux_ssrs_raised\":{}", row.aux_ssrs_raised);
-    let _ = write!(
-        out,
-        ",\"critical_p99_latency_us\":{}",
-        json_f64(row.critical_p99_latency_us)
-    );
-    let _ = write!(out, ",\"events_pushed\":{}", row.events_pushed);
-    let _ = write!(out, ",\"events_popped\":{}", row.events_popped);
+    for column in COLUMNS {
+        let _ = write!(out, ",\"{}\":", column.key);
+        match (column.read)(row) {
+            Datum::Int(n) => {
+                let _ = write!(out, "{n}");
+            }
+            Datum::Real(x) => out.push_str(&json_f64(x)),
+            Datum::Null => out.push_str("null"),
+        }
+    }
     out.push('}');
     out
 }
@@ -126,10 +83,11 @@ pub fn to_table(rows: &[Row]) -> String {
                 .unwrap_or_else(|| "-".into()),
         );
         row.push(format!("{:.3}", r.gpu_perf));
-        row.push(format!("{:.0}", r.ssr_rate));
-        row.push(format!("{:.1}", r.p99_ssr_latency_us));
-        row.push(format!("{:.1}%", r.cc6_residency * 100.0));
-        row.push(format!("{:.2}%", r.ssr_overhead * 100.0));
+        let run = &r.report;
+        row.push(format!("{:.0}", run.ssr_rate));
+        row.push(format!("{:.1}", run.kernel.p99_ssr_latency.as_micros_f64()));
+        row.push(format!("{:.1}%", run.cc6_residency * 100.0));
+        row.push(format!("{:.2}%", run.cpu_ssr_overhead * 100.0));
         data.push(row);
     }
 
@@ -140,30 +98,22 @@ pub fn to_table(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::test_row;
+    use hiss::{Ns, RunReport};
 
     fn row() -> Row {
-        Row {
-            cpu_app: "x264".into(),
-            gpu_app: "ubench".into(),
-            axes: vec![("qos_percent".into(), "5".into())],
-            replica: 0,
-            cpu_perf: Some(0.5625),
-            gpu_perf: 0.25,
-            cpu_runtime_ns: Some(123_456),
+        let mut run = RunReport {
+            cpu_app_runtime: Some(Ns::from_nanos(123_456)),
             gpu_throughput: 0.75,
             ssr_rate: 42_000.0,
-            ssrs_serviced: 1000,
-            mean_ssr_latency_us: 21.5,
-            p99_ssr_latency_us: 99.0,
             cc6_residency: 0.125,
-            ssr_overhead: 0.0625,
-            ipis: 7,
-            qos_deferrals: 3,
-            aux_ssrs_raised: 0,
-            critical_p99_latency_us: 0.0,
-            events_pushed: 5000,
-            events_popped: 4900,
-        }
+            cpu_ssr_overhead: 0.0625,
+            ..RunReport::default()
+        };
+        run.kernel.p99_ssr_latency = Ns::from_micros(99);
+        let mut r = test_row("x264", "ubench", Some(0.5625), 0.25, run);
+        r.axes = vec![("qos_percent".into(), "5".into())];
+        r
     }
 
     #[test]
@@ -180,9 +130,7 @@ mod tests {
 
     #[test]
     fn null_for_unfinished_cpu_app() {
-        let mut r = row();
-        r.cpu_perf = None;
-        r.cpu_runtime_ns = None;
+        let r = test_row("x264", "ubench", None, 0.25, RunReport::default());
         let json = row_json(&r);
         assert!(json.contains("\"cpu_perf\":null"), "{json}");
         assert!(json.contains("\"cpu_runtime_ns\":null"), "{json}");
@@ -201,7 +149,7 @@ mod tests {
 
     #[test]
     fn escaping_is_json_safe() {
-        assert_eq!(json_escape("a\"b\\c\n"), "a\\\"b\\\\c\\u000a");
+        assert_eq!(escape("a\"b\\c\n"), "a\\\"b\\\\c\\u000a");
         assert_eq!(json_f64(f64::NAN), "null");
     }
 }

@@ -17,6 +17,7 @@
 
 use hiss::{CoreId, CriticalityConfig, DeviceKind, Mitigation, Ns, SystemConfig};
 
+use crate::compile::{Column, COLUMNS};
 use crate::parse::{Document, Entry, ScenarioError, Value};
 
 /// Every simulation knob a scenario (or one sweep point of it) pins
@@ -128,29 +129,32 @@ impl Field {
         }
     }
 
-    fn by_key(key: &str) -> Option<Field> {
-        [
-            Field::Cores,
-            Field::Gpus,
-            Field::Seed,
-            Field::TimerTickUs,
-            Field::CoalesceWindowUs,
-            Field::MaxSimTimeMs,
-            Field::Cc6,
-            Field::SteerTarget,
-            Field::Steer,
-            Field::Coalesce,
-            Field::Monolithic,
-            Field::QosPercent,
-            Field::MitigationCombo,
-            Field::CritReserve,
-            Field::CritQuota,
-            Field::CritCores,
-            Field::CritWindowUs,
-            Field::BeWindowUs,
-        ]
-        .into_iter()
-        .find(|f| f.key() == key)
+    /// Every field, in declaration order.
+    pub(crate) const ALL: &'static [Field] = &[
+        Field::Cores,
+        Field::Gpus,
+        Field::Seed,
+        Field::TimerTickUs,
+        Field::CoalesceWindowUs,
+        Field::MaxSimTimeMs,
+        Field::Cc6,
+        Field::SteerTarget,
+        Field::Steer,
+        Field::Coalesce,
+        Field::Monolithic,
+        Field::QosPercent,
+        Field::MitigationCombo,
+        Field::CritReserve,
+        Field::CritQuota,
+        Field::CritCores,
+        Field::CritWindowUs,
+        Field::BeWindowUs,
+    ];
+
+    /// The field a `[system]`/`[mitigation]`/`[criticality]`/`[sweep]`
+    /// key names.
+    pub(crate) fn by_key(key: &str) -> Option<Field> {
+        Field::ALL.iter().copied().find(|f| f.key() == key)
     }
 
     /// Fields accepted in `[system]`.
@@ -391,119 +395,6 @@ pub enum Agg {
     Max,
 }
 
-impl Agg {
-    fn prefix(self) -> &'static str {
-        match self {
-            Agg::Mean => "mean",
-            Agg::Min => "min",
-            Agg::Max => "max",
-        }
-    }
-}
-
-/// A per-row result metric an `[expect]` band can constrain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Metric {
-    /// Normalised CPU application performance (Fig. 3a semantics).
-    CpuPerf,
-    /// Normalised GPU performance (Fig. 3b semantics; SSR rate for
-    /// ubench).
-    GpuPerf,
-    /// Mean CC6 residency across cores.
-    Cc6Residency,
-    /// Fraction of CPU time spent on SSR servicing.
-    SsrOverhead,
-    /// Mean end-to-end SSR latency, µs.
-    MeanLatencyUs,
-    /// p99 end-to-end SSR latency, µs.
-    P99LatencyUs,
-    /// SSR completions per second.
-    SsrRate,
-    /// Absolute GPU throughput (1.0 = never stalls).
-    GpuThroughput,
-    /// QoS deferral episodes.
-    QosDeferrals,
-    /// Inter-processor interrupts sent.
-    Ipis,
-    /// SSRs raised by non-GPU devices (NIC, DMA engine) of a
-    /// `[topology]` cell; 0 for all-GPU runs.
-    AuxSsrsRaised,
-    /// Events pushed onto the simulation calendar (run cost/shape).
-    EventsPushed,
-    /// Events popped from the simulation calendar; the conservation law
-    /// `events_popped <= events_pushed` always holds, and the invariant
-    /// lint (`HL401`) rejects band pairs that contradict it.
-    EventsPopped,
-    /// p99 end-to-end latency of *critical-class* SSRs, µs — the bound
-    /// a mixed-criticality scenario pins under the aggressor; 0 on
-    /// cells without classes.
-    CriticalP99LatencyUs,
-}
-
-impl Metric {
-    /// The metric's key stem in `[expect]` band names.
-    pub fn key(self) -> &'static str {
-        match self {
-            Metric::CpuPerf => "cpu_perf",
-            Metric::GpuPerf => "gpu_perf",
-            Metric::Cc6Residency => "cc6_residency",
-            Metric::SsrOverhead => "ssr_overhead",
-            Metric::MeanLatencyUs => "ssr_latency_us",
-            Metric::P99LatencyUs => "p99_latency_us",
-            Metric::SsrRate => "ssr_rate",
-            Metric::GpuThroughput => "gpu_throughput",
-            Metric::QosDeferrals => "qos_deferrals",
-            Metric::Ipis => "ipis",
-            Metric::AuxSsrsRaised => "aux_ssrs_raised",
-            Metric::EventsPushed => "events_pushed",
-            Metric::EventsPopped => "events_popped",
-            Metric::CriticalP99LatencyUs => "critical_p99_latency_us",
-        }
-    }
-
-    /// Every expectable metric, in catalog order.
-    pub const ALL: &'static [Metric] = &[
-        Metric::CpuPerf,
-        Metric::GpuPerf,
-        Metric::Cc6Residency,
-        Metric::SsrOverhead,
-        Metric::MeanLatencyUs,
-        Metric::P99LatencyUs,
-        Metric::SsrRate,
-        Metric::GpuThroughput,
-        Metric::QosDeferrals,
-        Metric::Ipis,
-        Metric::AuxSsrsRaised,
-        Metric::EventsPushed,
-        Metric::EventsPopped,
-        Metric::CriticalP99LatencyUs,
-    ];
-
-    /// The `hiss-obs` registry name this metric is derived from, or
-    /// `None` for metrics computed against a baseline run rather than
-    /// read from the registry. The schema lint (`HL201`) holds every
-    /// `Some` name against [`hiss_obs::schema`].
-    pub fn registry_key(self) -> Option<&'static str> {
-        match self {
-            // Normalised against a separate baseline run; no single
-            // registry name.
-            Metric::CpuPerf | Metric::GpuPerf => None,
-            Metric::Cc6Residency => Some("run.cc6_residency"),
-            Metric::SsrOverhead => Some("run.cpu_ssr_overhead"),
-            // Mean and p99 are both read off the latency histogram.
-            Metric::MeanLatencyUs | Metric::P99LatencyUs => Some("kernel.latency"),
-            Metric::SsrRate => Some("run.ssr_rate"),
-            Metric::GpuThroughput => Some("run.gpu_throughput"),
-            Metric::QosDeferrals => Some("kernel.qos_deferrals"),
-            Metric::Ipis => Some("kernel.ipis"),
-            Metric::AuxSsrsRaised => Some("run.aux_ssrs_raised"),
-            Metric::EventsPushed => Some("run.events_pushed"),
-            Metric::EventsPopped => Some("run.events_popped"),
-            Metric::CriticalP99LatencyUs => Some("qos.class0.p99_latency_us"),
-        }
-    }
-}
-
 /// One `[expect]` band: `agg_metric = [lo, hi]`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Expect {
@@ -511,8 +402,9 @@ pub struct Expect {
     pub key: String,
     /// Aggregation over the result rows.
     pub agg: Agg,
-    /// Metric aggregated.
-    pub metric: Metric,
+    /// Result column aggregated (an entry of [`COLUMNS`] with a band
+    /// stem).
+    pub column: &'static Column,
     /// Inclusive lower bound.
     pub lo: f64,
     /// Inclusive upper bound.
@@ -1262,22 +1154,19 @@ fn parse_expect(entry: &Entry) -> Result<Expect, ScenarioError> {
             ),
         ));
     };
-    let metric = Metric::ALL
-        .iter()
-        .copied()
-        .find(|m| m.key() == stem)
-        .ok_or_else(|| {
-            let metrics: Vec<&str> = Metric::ALL.iter().map(|m| m.key()).collect();
-            let mut msg = format!(
-                "unknown expect metric {stem:?} in {:?} (metrics: {})",
-                entry.key,
-                metrics.join(", ")
-            );
-            if let Some(suggestion) = crate::nearest(stem, &metrics) {
-                msg.push_str(&format!("; did you mean {suggestion:?}?"));
-            }
-            ScenarioError::new(entry.line, msg).with_code(hiss_lint::Code::UnknownExpectMetric)
-        })?;
+    let column = COLUMNS.iter().find(|c| c.stem == Some(stem));
+    let column = column.ok_or_else(|| {
+        let metrics: Vec<&str> = COLUMNS.iter().filter_map(|c| c.stem).collect();
+        let mut msg = format!(
+            "unknown expect metric {stem:?} in {:?} (metrics: {})",
+            entry.key,
+            metrics.join(", ")
+        );
+        if let Some(suggestion) = crate::nearest(stem, &metrics) {
+            msg.push_str(&format!("; did you mean {suggestion:?}?"));
+        }
+        ScenarioError::new(entry.line, msg).with_code(hiss_lint::Code::UnknownExpectMetric)
+    })?;
     let Value::List(band) = &entry.value else {
         return Err(ScenarioError::new(
             entry.line,
@@ -1310,7 +1199,7 @@ fn parse_expect(entry: &Entry) -> Result<Expect, ScenarioError> {
     Ok(Expect {
         key: entry.key.clone(),
         agg,
-        metric,
+        column,
         lo,
         hi,
         line: entry.line,
@@ -1336,13 +1225,7 @@ fn unknown_field_key(line: usize, key: &str, section: &str, valid: &[Field]) -> 
 impl Expect {
     /// Renders the aggregated band as text (`mean_cpu_perf in [0.4, 1]`).
     pub fn describe(&self) -> String {
-        format!(
-            "{}_{} in [{}, {}]",
-            self.agg.prefix(),
-            self.metric.key(),
-            self.lo,
-            self.hi
-        )
+        format!("{} in [{}, {}]", self.key, self.lo, self.hi)
     }
 }
 
@@ -1458,9 +1341,9 @@ gpu = ["ubench"]
         .unwrap();
         assert_eq!(sc.expects.len(), 2);
         assert_eq!(sc.expects[0].agg, Agg::Mean);
-        assert_eq!(sc.expects[0].metric, Metric::CpuPerf);
+        assert_eq!(sc.expects[0].column.key, "cpu_perf");
         assert_eq!(sc.expects[1].agg, Agg::Max);
-        assert_eq!(sc.expects[1].metric, Metric::P99LatencyUs);
+        assert_eq!(sc.expects[1].column.key, "p99_ssr_latency_us");
 
         let err = Scenario::from_str(&with("[expect]\ncpu_perf = [0, 1]\n")).unwrap_err();
         assert!(err.msg.contains("must start with"), "{}", err.msg);
@@ -1695,9 +1578,9 @@ gpu = ["ubench"]
     fn critical_p99_band_parses() {
         let sc = Scenario::from_str(&with("[expect]\nmax_critical_p99_latency_us = [0, 200]\n"))
             .unwrap();
-        assert_eq!(sc.expects[0].metric, Metric::CriticalP99LatencyUs);
+        assert_eq!(sc.expects[0].column.key, "critical_p99_latency_us");
         assert_eq!(
-            Metric::CriticalP99LatencyUs.registry_key(),
+            sc.expects[0].column.schema,
             Some("qos.class0.p99_latency_us")
         );
     }

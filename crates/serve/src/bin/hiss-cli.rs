@@ -72,7 +72,7 @@ use std::env;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use hiss::experiments::{extensions, fig4, fig5, fig9, section4c, tables};
+use hiss::experiments::{extensions, fig4, fig9, section4c, tables};
 use hiss::{ExperimentBuilder, Mitigation, Ns, QosParams, RunReport, SystemConfig};
 use hiss_bench::baseline::{self, BaselineFile, SuiteSnapshot};
 use hiss_bench::compare;
@@ -1031,9 +1031,10 @@ fn banner(title: &str) {
 /// `hiss-cli figures [--quick]` — regenerates every table and figure of
 /// the paper's evaluation, in paper order. Figs. 3, 6, 7, 8 and 12 run
 /// their `scenarios/` packs (relative to the working directory; `--quick`
-/// uses each pack's quick subsets) and render through [`figures`];
-/// Figs. 4 and 5 take their workload lists from `fig3.hiss`; the rest
-/// call the `hiss::experiments` runners.
+/// uses each pack's quick subsets) and render through [`figures`], as
+/// does Fig. 5 from the ubench column of the Fig. 3 rows; Fig. 4 takes
+/// its GPU list from `fig3.hiss`; the rest call the `hiss::experiments`
+/// runners.
 fn print_figures(cfg: SystemConfig, quick: bool) -> Result<(), String> {
     let pack = |name: &str| {
         let path = Path::new("scenarios").join(format!("{name}.hiss"));
@@ -1046,7 +1047,6 @@ fn print_figures(cfg: SystemConfig, quick: bool) -> Result<(), String> {
         pack("fig8")?,
         pack("fig12")?,
     );
-    let cpu: Vec<&str> = fig3.cpu_apps(quick).iter().map(String::as_str).collect();
     let gpu: Vec<&str> = fig3.gpu_apps(quick).iter().map(String::as_str).collect();
     let pairs = |sc| figures::run_pairs(sc, quick);
 
@@ -1068,7 +1068,7 @@ fn print_figures(cfg: SystemConfig, quick: bool) -> Result<(), String> {
     println!("{}", fig4::render(&fig4::fig4_with(&cfg, &gpu)));
 
     banner("Fig. 5 — µarchitectural effects of ubench SSRs");
-    println!("{}", fig5::render(&fig5::fig5_with(&cfg, &cpu)));
+    println!("{}", figures::render_fig5(&rows3));
 
     banner("§IV-C — interrupt distribution, IPIs, coalescing");
     println!("{}", section4c::render(&section4c::section4c(&cfg)));

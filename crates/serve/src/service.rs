@@ -285,6 +285,23 @@ gpu = ["ubench"]
     }
 
     #[test]
+    fn grids_over_the_cell_budget_are_rejected_unexpanded() {
+        let service = Service::new(None);
+        let seeds: Vec<String> = (0..1_000).map(|i| i.to_string()).collect();
+        let text = format!(
+            "{TINY}[run]\nreplicas = 64\n[sweep]\nseed = [{}]\n",
+            seeds.join(", ")
+        );
+        let err = service
+            .submit("t.hiss", &text, false, |_| panic!("nothing should stream"))
+            .unwrap_err();
+        assert_eq!(err[0].code, hiss_lint::Code::GridTooLarge);
+        let mut reg = MetricsRegistry::new();
+        service.publish(&mut reg, "bench.serve");
+        assert_eq!(reg.counter_value("bench.serve.queue_peak"), Some(0));
+    }
+
+    #[test]
     fn warnings_alone_do_not_reject() {
         let service = Service::new(None);
         // HL006 (degenerate axis) is Warn severity.

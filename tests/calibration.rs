@@ -349,10 +349,10 @@ fn qos_threshold_sweep() {
     // driver enforces the limit periodically").
     for (_, r) in rows.iter().filter(|(p, _)| *p == 1.0) {
         assert!(
-            r.ssr_overhead < 0.05,
+            r.report.cpu_ssr_overhead < 0.05,
             "{}: overhead {} far above th_1",
             r.cpu_app,
-            r.ssr_overhead
+            r.report.cpu_ssr_overhead
         );
     }
 }
@@ -381,8 +381,9 @@ fn tighter_thresholds_trade_gpu_for_cpu() {
     // Monotonicity across the sweep.
     assert!(th1.gpu_perf <= th5.gpu_perf + 0.02);
     assert!(th5.gpu_perf <= th25.gpu_perf + 0.02);
-    assert!(th1.ssr_overhead <= th5.ssr_overhead + 0.01);
-    assert!(th5.ssr_overhead <= th25.ssr_overhead + 0.01);
+    let overhead = |r: &Row| r.report.cpu_ssr_overhead;
+    assert!(overhead(th1) <= overhead(th5) + 0.01);
+    assert!(overhead(th5) <= overhead(th25) + 0.01);
 }
 
 /// Fig. 6 ratios (treated vs the default cell of the same pairing) for

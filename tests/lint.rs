@@ -326,3 +326,43 @@ fn cli_rejects_a_lint_invocation_with_nothing_to_do() {
     let out = cli().arg("lint").output().unwrap();
     assert!(!out.status.success());
 }
+
+/// A hostile grid in well under 1 MiB of text: five 10,000-value axes
+/// (10^20 cells, past `usize`), one duplicate value and a pinned row
+/// count. Lint must count the grid rather than compare every value
+/// pair, expand the cells or overflow the row count, and answer at once
+/// with HL013 — the gate that keeps `serve` from expanding such a grid.
+/// The watchdog thread turns a hang into a failure.
+#[test]
+#[allow(clippy::disallowed_methods)]
+fn hostile_grids_are_rejected_before_expansion() {
+    let axis = |key: &str, scale: f64| {
+        let values: Vec<String> = (1..=10_000)
+            .map(|i| format!("{}", i as f64 / scale))
+            .collect();
+        format!("{key} = [{}]\n", values.join(", "))
+    };
+    let mut text = String::from(
+        "[scenario]\nname = \"t\"\n[workload]\ncpu = [\"x264\"]\ngpu = [\"ubench\"]\n\
+         [run]\nrows = 1\n[sweep]\n",
+    );
+    text.push_str(&axis("seed", 1.0).replace(']', ", 1]"));
+    for key in ["timer_tick_us", "coalesce_window_us", "max_sim_time_ms"] {
+        text.push_str(&axis(key, 1.0));
+    }
+    text.push_str(&axis("qos_percent", 100.0));
+    assert!(text.len() < 1 << 20, "{} bytes", text.len());
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(hiss_scenario::lint::lint_text("t.hiss", &text)));
+    let diags = rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("lint must return promptly on a hostile grid");
+    let codes: Vec<_> = diags.iter().map(|d| d.code).collect();
+    assert_eq!(codes, [hiss_lint::Code::GridTooLarge]);
+    assert_eq!(diags[0].line, 9);
+    assert!(
+        diags[0].msg.contains(&format!("over {}", usize::MAX)),
+        "{}",
+        diags[0].msg
+    );
+}

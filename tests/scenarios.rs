@@ -6,13 +6,17 @@
 //! The fig3 scenario is additionally pinned bit-for-bit against direct
 //! [`ExperimentBuilder`] runs normalised by `RunReport`'s own ratio
 //! methods, and the Fig. 6 ratios `hiss-cli figures` derives from
-//! fig6.hiss rows are pinned against the same methods.
+//! fig6.hiss rows are pinned against the same methods. Row encoding is
+//! pinned against a field-by-field oracle.
 
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use hiss::{ExperimentBuilder, Mitigation, SystemConfig};
+use hiss_obs::json::escape;
+use hiss_scenario::compile::{Datum, COLUMNS};
 use hiss_scenario::figures::{self, ratio_vs_default};
-use hiss_scenario::{check, expand, load, output, run, Scenario};
+use hiss_scenario::{check, expand, load, output, run, Row, Scenario};
 
 fn scenarios_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
@@ -214,4 +218,119 @@ gpu = ["sssp", "ubench"]
         let reparsed: f64 = field.parse().unwrap();
         assert_eq!(reparsed.to_bits(), row.gpu_perf.to_bits(), "{line}");
     }
+}
+
+fn json_f64(x: f64) -> String {
+    if x.is_finite() {
+        format!("{x}")
+    } else {
+        "null".to_string()
+    }
+}
+
+/// The field-by-field encoder the column table replaced, reading
+/// every value with the expression the row builder used to copy it
+/// into its own field.
+fn oracle_row_json(row: &Row) -> String {
+    let run = &row.report;
+    let counter = |name: &str| run.metrics.counter_value(name).unwrap_or(0);
+    let mut out = String::with_capacity(256);
+    out.push('{');
+    let _ = write!(out, "\"cpu_app\":\"{}\"", escape(&row.cpu_app));
+    let _ = write!(out, ",\"gpu_app\":\"{}\"", escape(&row.gpu_app));
+    for (key, value) in &row.axes {
+        let _ = write!(out, ",\"axis_{}\":\"{}\"", escape(key), escape(value));
+    }
+    let _ = write!(out, ",\"replica\":{}", row.replica);
+    let cpu_perf = row
+        .cpu_perf
+        .map(json_f64)
+        .unwrap_or_else(|| "null".to_string());
+    let _ = write!(out, ",\"cpu_perf\":{cpu_perf}");
+    let _ = write!(out, ",\"gpu_perf\":{}", json_f64(row.gpu_perf));
+    let runtime = run
+        .cpu_app_runtime
+        .map(|t| t.as_nanos().to_string())
+        .unwrap_or_else(|| "null".to_string());
+    let _ = write!(out, ",\"cpu_runtime_ns\":{runtime}");
+    let _ = write!(out, ",\"gpu_throughput\":{}", json_f64(run.gpu_throughput));
+    let _ = write!(out, ",\"ssr_rate\":{}", json_f64(run.ssr_rate));
+    let _ = write!(out, ",\"ssrs_serviced\":{}", run.kernel.ssrs_serviced);
+    let _ = write!(
+        out,
+        ",\"mean_ssr_latency_us\":{}",
+        json_f64(run.kernel.mean_ssr_latency.as_micros_f64())
+    );
+    let _ = write!(
+        out,
+        ",\"p99_ssr_latency_us\":{}",
+        json_f64(run.kernel.p99_ssr_latency.as_micros_f64())
+    );
+    let _ = write!(out, ",\"cc6_residency\":{}", json_f64(run.cc6_residency));
+    let _ = write!(out, ",\"ssr_overhead\":{}", json_f64(run.cpu_ssr_overhead));
+    let _ = write!(out, ",\"ipis\":{}", run.kernel.ipis);
+    let _ = write!(out, ",\"qos_deferrals\":{}", run.kernel.qos_deferrals);
+    let _ = write!(
+        out,
+        ",\"aux_ssrs_raised\":{}",
+        counter("run.aux_ssrs_raised")
+    );
+    let critical_p99 = run
+        .metrics
+        .gauge_value("qos.class0.p99_latency_us")
+        .unwrap_or(0.0);
+    let _ = write!(
+        out,
+        ",\"critical_p99_latency_us\":{}",
+        json_f64(critical_p99)
+    );
+    let _ = write!(out, ",\"events_pushed\":{}", counter("run.events_pushed"));
+    let _ = write!(out, ",\"events_popped\":{}", counter("run.events_popped"));
+    out.push('}');
+    out
+}
+
+/// The table-driven encoder is byte-equal to the oracle on real
+/// cells that between them give every column a non-trivial value.
+#[test]
+fn table_driven_rows_match_the_field_by_field_oracle() {
+    let pack = |cpu: &str, extra: &str| {
+        let text = format!(
+            "[scenario]\nname = \"t\"\n[workload]\ncpu = [\"{cpu}\"]\n\
+             gpu = [\"ubench\"]\n{extra}"
+        );
+        run(&Scenario::from_str(&text).unwrap(), false).remove(0)
+    };
+    let cells = [
+        ("default", pack("x264", "")),
+        ("qos", pack("x264", "[mitigation]\nqos_percent = 1\n")),
+        (
+            "topology",
+            pack(
+                "x264",
+                "[topology]\ndevices = [\"gpu\", \"nic\", \"dma\"]\n",
+            ),
+        ),
+        (
+            "criticality",
+            pack(
+                "raytrace",
+                "[criticality]\ncritical = [\"raytrace\"]\ncritical_devices = [0]\n",
+            ),
+        ),
+        ("capped", pack("x264", "[system]\nmax_sim_time_ms = 1\n")),
+    ];
+    for (name, row) in &cells {
+        assert_eq!(output::row_json(row), oracle_row_json(row), "{name} cell");
+    }
+    let value = |i: usize, key: &str| {
+        let column = COLUMNS.iter().find(|c| c.key == key).unwrap();
+        (column.read)(&cells[i].1)
+    };
+    assert!(value(0, "ipis").as_f64() > Some(0.0));
+    assert!(value(1, "qos_deferrals").as_f64() > Some(0.0));
+    assert!(value(2, "aux_ssrs_raised").as_f64() > Some(0.0));
+    assert!(value(3, "critical_p99_latency_us").as_f64() > Some(0.0));
+    assert_eq!(value(4, "cpu_perf"), Datum::Null);
+    assert_eq!(value(4, "cpu_runtime_ns"), Datum::Null);
 }
