@@ -31,7 +31,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::config::SystemConfig;
 use crate::metrics::RunReport;
-use crate::soc::ExperimentBuilder;
+use crate::soc::{ExperimentBuilder, IDLE_CPU};
 use crate::store::{DiskStore, StoreKey};
 
 /// Which baseline flavour an entry holds.
@@ -131,13 +131,18 @@ impl BaselineCache {
 
     /// `cpu_app` against `gpu_app` under the default configuration (no
     /// mitigation, no QoS) — shared by Fig. 3 cells, the Fig. 6 and
-    /// Fig. 12 denominators, and the Pareto `Default` combination.
+    /// Fig. 12 denominators, and the Pareto `Default` combination. With
+    /// an [`IDLE_CPU`] it is the [`Self::gpu_idle_baseline`] entry
+    /// itself (same key, same store key), never a second run.
     pub fn corun_default(
         &self,
         cfg: &SystemConfig,
         cpu_app: &str,
         gpu_app: &str,
     ) -> Arc<RunReport> {
+        if cpu_app == IDLE_CPU {
+            return self.gpu_idle_baseline(cfg, gpu_app);
+        }
         self.get_or_run(Key::new(cfg, Kind::CorunDefault, cpu_app, gpu_app), || {
             ExperimentBuilder::new(*cfg)
                 .cpu_app(cpu_app)
@@ -266,6 +271,19 @@ mod tests {
         let b = cache.gpu_idle_baseline(&cfg, "bfs");
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.hit_count(), 1);
+        assert_eq!(cache.miss_count(), 1);
+        assert_eq!(cache.len(), 1);
+    }
+
+    /// An idle-CPU default co-run is the GPU-alone baseline entry: no
+    /// miss, no extra entry, the same report.
+    #[test]
+    fn idle_default_corun_is_the_gpu_idle_baseline() {
+        let cache = BaselineCache::default();
+        let cfg = SystemConfig::a10_7850k();
+        let alone = cache.gpu_idle_baseline(&cfg, "bfs");
+        let corun = cache.corun_default(&cfg, IDLE_CPU, "bfs");
+        assert!(Arc::ptr_eq(&alone, &corun));
         assert_eq!(cache.miss_count(), 1);
         assert_eq!(cache.len(), 1);
     }

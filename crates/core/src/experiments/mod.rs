@@ -1,61 +1,25 @@
-//! Experiment runners for the tables and figures of the paper's
-//! evaluation that no `.hiss` pack can express (GPU-alone runs, pinned
-//! GPUs, per-core interrupt counts, µarchitectural counters).
+//! Experiment runners for the artifacts no `.hiss` pack can express,
+//! plus the baseline cache every pack cell runs through.
 //!
-//! Each submodule corresponds to one artifact and returns structured rows
-//! plus a plain-text rendering identical in shape to what the paper
-//! reports:
-//!
-//! | module | paper artifact |
+//! | module | artifact |
 //! |---|---|
 //! | [`tables`] | Table I (SSR catalogue), Table II (system configuration) |
-//! | [`fig4`] | Fig. 4 — CC6 residency with and without SSRs |
-//! | [`section4c`] | §IV-C — interrupt spreading, IPI inflation, coalescing reduction |
-//! | [`fig9`] | Fig. 9 — CC6 residency across mitigation combinations |
-//! | [`extensions`] | beyond the paper: multi-GPU scaling, window/limit sweeps, adaptive QoS |
+//! | [`extensions`] | beyond the paper: outstanding-limit sweep, module pairing, adaptive QoS |
+//! | [`cache`] | [`BaselineCache`], the memoized baseline and default runs |
 //!
-//! Figs. 3, 6, 7, 8 and 12 are `.hiss` packs under `scenarios/`,
-//! rendered by `hiss_scenario::figures`, which also renders Fig. 5a/5b
-//! (µarchitectural pollution) from the ubench column of the Fig. 3
-//! rows; `hiss-cli figures` prints every artifact. Functions taking
-//! workload lists accept explicit subsets so tests can run scaled-down
-//! grids.
+//! Every paper figure is a `.hiss` pack under `scenarios/` rendered by
+//! `hiss_scenario::figures`: Figs. 3/5 (`fig3.hiss`), 4 (`fig4.hiss`,
+//! an [`IDLE_CPU`](crate::IDLE_CPU) grid), 6, 7, 8, 9 (`fig9.hiss`), 12
+//! and §IV-C (`section4c.hiss`), as are the multi-GPU scaling and
+//! coalescing-window extensions. `hiss-cli figures` prints every
+//! artifact.
 
-pub mod fig4;
-pub mod fig9;
-pub mod section4c;
 pub mod tables;
 
 pub mod cache;
 pub mod extensions;
 
 pub use cache::BaselineCache;
-
-use std::sync::Arc;
-
-use crate::config::SystemConfig;
-use crate::metrics::RunReport;
-
-/// Runs `cpu_app` against the pinned (no-SSR) variant of `gpu_app` — the
-/// paper's Fig. 3a normalisation baseline ("the same pair of
-/// applications, but without the GPU application generating any SSRs").
-/// Memoized in the global [`BaselineCache`].
-pub(crate) fn cpu_baseline(cfg: &SystemConfig, cpu_app: &str, gpu_app: &str) -> Arc<RunReport> {
-    BaselineCache::global().cpu_baseline(cfg, cpu_app, gpu_app)
-}
-
-/// Runs `gpu_app` alone on idle CPUs — the Fig. 3b normalisation
-/// baseline. Memoized in the global [`BaselineCache`].
-pub(crate) fn gpu_idle_baseline(cfg: &SystemConfig, gpu_app: &str) -> Arc<RunReport> {
-    BaselineCache::global().gpu_idle_baseline(cfg, gpu_app)
-}
-
-/// Runs `cpu_app` against `gpu_app` with default mitigation and no QoS —
-/// the co-run every default-configuration cell shares. Memoized in the
-/// global [`BaselineCache`].
-pub(crate) fn corun_default(cfg: &SystemConfig, cpu_app: &str, gpu_app: &str) -> Arc<RunReport> {
-    BaselineCache::global().corun_default(cfg, cpu_app, gpu_app)
-}
 
 /// Renders a fixed-width text table: a header row plus data rows, every
 /// cell right-aligned to its column's widest entry.
@@ -92,6 +56,7 @@ pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SystemConfig;
 
     #[test]
     fn render_table_aligns_columns() {
@@ -119,10 +84,11 @@ mod tests {
     #[test]
     fn baselines_are_quiet() {
         let cfg = SystemConfig::a10_7850k();
-        let base = cpu_baseline(&cfg, "swaptions", "bfs");
+        let cache = BaselineCache::global();
+        let base = cache.cpu_baseline(&cfg, "swaptions", "bfs");
         assert_eq!(base.kernel.ssrs_serviced, 0);
         assert!(base.cpu_app_runtime.is_some());
-        let idle = gpu_idle_baseline(&cfg, "bfs");
+        let idle = cache.gpu_idle_baseline(&cfg, "bfs");
         assert!(idle.kernel.ssrs_serviced > 0);
         assert!(idle.cpu_app_runtime.is_none());
     }

@@ -59,7 +59,7 @@ pub use runner::{
     thread_count_from, PoolProfile,
 };
 pub use sanitize::{force_sanitize, sanitize_enabled};
-pub use soc::{ExperimentBuilder, Soc};
+pub use soc::{ExperimentBuilder, Soc, IDLE_CPU};
 pub use store::{DiskStore, StoreKey};
 pub use trace::{Trace, TraceSpan, Tracer};
 

@@ -1091,6 +1091,12 @@ impl Soc {
     }
 }
 
+/// The CPU workload name that runs no CPU application: the devices run
+/// alone on idle cores (the paper's Fig. 3b, 4 and 9 setting). Accepted
+/// wherever a CPU application is named: [`ExperimentBuilder::cpu_app`],
+/// `.hiss` workload lists and `hiss-cli run --cpu`.
+pub const IDLE_CPU: &str = "idle";
+
 /// Fluent builder for one simulation run.
 ///
 /// # Example
@@ -1149,16 +1155,23 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Runs a PARSEC benchmark on the CPU cores.
+    /// Runs a PARSEC benchmark on the CPU cores; [`IDLE_CPU`] leaves
+    /// them idle (no CPU application, so the devices run alone).
     ///
     /// # Panics
     ///
-    /// Panics if `name` is not in the catalog.
+    /// Panics if `name` is neither in the catalog nor [`IDLE_CPU`].
     pub fn cpu_app(mut self, name: &str) -> Self {
-        let spec =
-            CpuAppSpec::by_name(name).unwrap_or_else(|| panic!("unknown CPU benchmark {name:?}"));
-        self.cpu = Some(spec);
+        self.cpu = (name != IDLE_CPU).then(|| {
+            CpuAppSpec::by_name(name).unwrap_or_else(|| panic!("unknown CPU benchmark {name:?}"))
+        });
         self
+    }
+
+    /// `true` if [`Self::cpu_app`] accepts `name`: a catalog benchmark
+    /// or [`IDLE_CPU`].
+    pub fn knows_cpu_app(name: &str) -> bool {
+        name == IDLE_CPU || CpuAppSpec::by_name(name).is_some()
     }
 
     /// Runs an explicit CPU application spec.
@@ -1296,6 +1309,29 @@ mod tests {
         let perf = noisy.cpu_perf_vs(&base).expect("both finish");
         assert!(perf < 1.0, "expected slowdown, got perf {perf}");
         assert!(perf > 0.4, "implausibly strong interference: {perf}");
+    }
+
+    /// `cpu_app("idle")` is the same run as naming no CPU application,
+    /// for the SSR-raising and the pinned GPU alike.
+    #[test]
+    fn idle_cpu_app_is_no_cpu_app() {
+        for pinned in [false, true] {
+            let gpu = |b: ExperimentBuilder| {
+                if pinned {
+                    b.gpu_app_pinned("bfs")
+                } else {
+                    b.gpu_app("bfs")
+                }
+            };
+            let idle = gpu(ExperimentBuilder::new(cfg()).cpu_app(IDLE_CPU)).run();
+            let alone = gpu(ExperimentBuilder::new(cfg())).run();
+            assert!(idle.cpu_app_runtime.is_none());
+            assert_eq!(idle.metrics.to_json(), alone.metrics.to_json());
+            assert_eq!(idle.cc6_residency.to_bits(), alone.cc6_residency.to_bits());
+        }
+        assert!(ExperimentBuilder::knows_cpu_app(IDLE_CPU));
+        assert!(ExperimentBuilder::knows_cpu_app("x264"));
+        assert!(!ExperimentBuilder::knows_cpu_app("doom"));
     }
 
     #[test]

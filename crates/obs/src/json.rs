@@ -92,6 +92,7 @@ impl MetricsRegistry {
     /// byte offset.
     pub fn from_json(text: &str) -> Result<Self, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -104,8 +105,12 @@ impl MetricsRegistry {
     }
 }
 
-/// Minimal recursive-descent parser for the snapshot schema.
+/// Minimal recursive-descent parser for the snapshot schema. Every
+/// step is linear in the bytes it consumes: `pos` only ever rests on a
+/// character boundary of `text`, so runs of plain characters are sliced
+/// out of it whole, never re-validated.
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -168,13 +173,15 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (names/labels may be
-                    // arbitrary strings).
-                    let s = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of plain characters up to the next
+                    // quote or backslash (both ASCII, so the run ends on
+                    // a character boundary).
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|b| matches!(b, b'"' | b'\\'))
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -195,8 +202,7 @@ impl<'a> Parser<'a> {
         {
             self.pos += 1;
         }
-        let token =
-            std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| "invalid number")?;
+        let token = &self.text[start..self.pos];
         if token.is_empty() {
             return Err(format!("expected a number at byte {start}"));
         }

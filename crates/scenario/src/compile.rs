@@ -18,7 +18,7 @@
 //! [`BaselineCache`] for its two normalisation
 //! baselines, and cells whose knobs are the paper's default
 //! configuration resolve the noisy run through the cache too (sharing it
-//! across packs and the remaining `hiss::experiments` runners).
+//! across packs).
 
 use std::sync::Arc;
 
@@ -50,8 +50,8 @@ pub struct Cell {
 }
 
 /// One result row: the cell's coordinates, its two baseline-normalised
-/// values and the run it came from. Every other result column is read
-/// from that run through [`COLUMNS`].
+/// values, the run it came from and that run's no-SSR baseline. Every
+/// other result column is read from the run through [`COLUMNS`].
 #[derive(Debug, Clone)]
 pub struct Row {
     /// CPU application.
@@ -71,6 +71,11 @@ pub struct Row {
     pub gpu_perf: f64,
     /// The cell's co-run.
     pub report: Arc<RunReport>,
+    /// The `cpu_perf` denominator: the same pairing with the pinned
+    /// (no-SSR) GPU, from [`BaselineCache::cpu_baseline`]. For an
+    /// [`IDLE_CPU`](hiss::IDLE_CPU) cell it is the pinned GPU alone
+    /// (Fig. 4's `no_SSR`). Not a column: the row JSON never shows it.
+    pub baseline: Arc<RunReport>,
 }
 
 /// One value of a result column.
@@ -255,7 +260,9 @@ pub fn expand(sc: &Scenario, quick: bool) -> Vec<Cell> {
     }
 }
 
-/// Runs one cell: the noisy run plus its two cached baselines. Public
+/// Runs one cell: the noisy run plus its two cached baselines. An
+/// [`IDLE_CPU`](hiss::IDLE_CPU) default cell's noisy run is the GPU-alone
+/// baseline itself ([`BaselineCache::corun_default`]). Public
 /// so the serving layer (`hiss-serve`) can execute store-miss cells
 /// through exactly the batch compiler's path.
 pub fn run_cell_report(cell: &Cell) -> (Row, Arc<RunReport>) {
@@ -309,6 +316,7 @@ pub fn run_cell_report(cell: &Cell) -> (Row, Arc<RunReport>) {
         cpu_perf: run.cpu_perf_vs(&base),
         gpu_perf: gpu_perf_vs(&cell.gpu_app, &run, &gpu_base),
         report: Arc::clone(&run),
+        baseline: base,
     };
     (row, run)
 }
@@ -348,6 +356,7 @@ pub(crate) fn test_row(
         cpu_perf,
         gpu_perf,
         report: Arc::new(report),
+        baseline: Arc::default(),
     }
 }
 

@@ -1,16 +1,22 @@
 //! Row → paper-layout renderers for the figures `.hiss` packs express:
-//! Figs. 3a/3b and 5a/5b (`fig3.hiss`), Fig. 6 (`fig6.hiss`), Figs. 7/8
-//! (`pareto.hiss`, `fig8.hiss`) and Fig. 12 (`fig12.hiss`).
+//! Figs. 3a/3b and 5a/5b (`fig3.hiss`), Fig. 4 (`fig4.hiss`), §IV-C
+//! (`section4c.hiss`), Fig. 6 (`fig6.hiss`), Figs. 7/8 (`pareto.hiss`,
+//! `fig8.hiss`), Fig. 9 (`fig9.hiss`) and Fig. 12 (`fig12.hiss`), plus
+//! the multi-GPU scaling (`scaling.hiss`) and coalescing-window
+//! (`coalesce_window.hiss`) extensions.
 //!
 //! The renderers only rearrange and fold the values a pack run already
 //! computed, so every figure agrees bit-for-bit with the rows (and the
-//! JSON-lines output) it comes from. Renderers that need a cell's typed
-//! knobs (its mitigation combination or QoS threshold) take the
-//! `(Cell, Row)` pairs [`run_pairs`] returns. `hiss-cli figures` is the
-//! front door that runs the packs and prints every artifact.
+//! JSON-lines output) it comes from. A row's no-SSR run
+//! ([`Row::baseline`]) is part of what a pack computes, so Figs. 4 and 9
+//! read their `no_SSR` bars from it. Renderers that need a cell's typed
+//! knobs (its mitigation combination, QoS threshold, GPU count or
+//! coalescing window) take the `(Cell, Row)` pairs [`run_pairs`]
+//! returns. `hiss-cli figures` is the front door that runs the packs and
+//! prints every artifact.
 
 use hiss::experiments::render_table;
-use hiss::Mitigation;
+use hiss::{Mitigation, RunReport};
 
 use crate::compile::{expand, gpu_perf_vs, run, Cell, Row};
 use crate::spec::Scenario;
@@ -23,6 +29,27 @@ pub fn run_pairs(sc: &Scenario, quick: bool) -> Vec<(Cell, Row)> {
 /// A three-decimal figure value, `-` when absent.
 fn cell3(value: Option<f64>) -> String {
     value.map_or_else(|| "-".into(), |v| format!("{v:.3}"))
+}
+
+/// A fraction as a one-decimal percentage.
+fn pct(x: f64) -> String {
+    format!("{:.1}%", x * 100.0)
+}
+
+/// SSR interrupts per serviced SSR (1.0 = no batching).
+pub fn interrupts_per_ssr(run: &RunReport) -> f64 {
+    let interrupts: u64 = run.kernel.interrupts_per_core.iter().sum();
+    interrupts as f64 / run.kernel.ssrs_serviced.max(1) as f64
+}
+
+/// The row of `cell`'s pairing (CPU app, GPU app, replica) under
+/// mitigation `m`.
+fn twin<'a>(pairs: &'a [(Cell, Row)], cell: &Cell, m: Mitigation) -> Option<&'a Row> {
+    let key = (&cell.cpu_app, &cell.gpu_app, cell.replica);
+    pairs
+        .iter()
+        .find(|(c, _)| c.knobs.mitigation == m && (&c.cpu_app, &c.gpu_app, c.replica) == key)
+        .map(|(_, r)| r)
 }
 
 /// The distinct CPU applications of `rows`, in first-appearance order.
@@ -141,17 +168,116 @@ pub fn render_fig5(rows: &[Row]) -> String {
         .filter(|r| r.gpu_app == "ubench")
         .map(|r| {
             let (l1d, branch) = pollution(r);
-            vec![
-                r.cpu_app.clone(),
-                format!("{:.1}%", l1d * 100.0),
-                format!("{:.1}%", branch * 100.0),
-            ]
+            vec![r.cpu_app.clone(), pct(l1d), pct(branch)]
         })
         .collect();
     render_table(
         &["CPU app", "L1D miss increase", "branch mispredict increase"],
         &data,
     )
+}
+
+/// Renders Fig. 4 from an idle-CPU pack: one line per GPU application,
+/// its CC6 residency with SSRs disabled (the row's pinned baseline) and
+/// enabled (the row's run), and the percentage points lost.
+pub fn render_fig4(rows: &[Row]) -> String {
+    let data: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            let (quiet, noisy) = (r.baseline.cc6_residency, r.report.cc6_residency);
+            vec![
+                r.gpu_app.clone(),
+                pct(quiet),
+                pct(noisy),
+                format!("{:.1}", (quiet - noisy) * 100.0),
+            ]
+        })
+        .collect();
+    render_table(&["GPU app", "no_SSR", "gpu_SSR", "lost (pts)"], &data)
+}
+
+/// The §IV-C measurements.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Section4c {
+    /// Per-core SSR interrupt counts of the default ubench cell.
+    pub interrupts_per_core: Vec<u64>,
+    /// max/min per-core interrupt ratio (≈1.0 = evenly spread).
+    pub interrupt_imbalance: f64,
+    /// IPIs with ubench generating SSRs.
+    pub ipis_with_ssrs: u64,
+    /// IPIs with ubench running but generating no SSRs (the cell's
+    /// pinned baseline).
+    pub ipis_without_ssrs: u64,
+    /// Mean reduction of [`interrupts_per_ssr`] from coalescing, over
+    /// every default cell with a coalescing twin (0.16 = 16 % fewer).
+    pub coalescing_reduction: f64,
+}
+
+/// Folds a pack sweeping `mitigation` over `"default"` and `"coalesce"`
+/// into the §IV-C measurements: interrupt spread and IPIs from its
+/// default ubench cell, the coalescing reduction averaged over its
+/// default cells in grid order. `None` without a default ubench cell.
+pub fn section4c(pairs: &[(Cell, Row)]) -> Option<Section4c> {
+    let coalesce = Mitigation {
+        coalesce: true,
+        ..Mitigation::DEFAULT
+    };
+    let reductions: Vec<f64> = pairs
+        .iter()
+        .filter(|(c, _)| c.knobs.mitigation == Mitigation::DEFAULT)
+        .filter_map(|(c, plain)| {
+            let coal = twin(pairs, c, coalesce)?;
+            let p_rate = interrupts_per_ssr(&plain.report);
+            (p_rate > 0.0).then(|| 1.0 - interrupts_per_ssr(&coal.report) / p_rate)
+        })
+        .collect();
+    let (_, ubench) = pairs
+        .iter()
+        .find(|(c, _)| c.gpu_app == "ubench" && c.knobs.mitigation == Mitigation::DEFAULT)?;
+    let counts = ubench.report.kernel.interrupts_per_core.clone();
+    let max = counts.iter().max().copied().unwrap_or(0) as f64;
+    let min = counts.iter().min().copied().unwrap_or(0) as f64;
+    Some(Section4c {
+        interrupt_imbalance: if min > 0.0 { max / min } else { f64::INFINITY },
+        interrupts_per_core: counts,
+        ipis_with_ssrs: ubench.report.kernel.ipis,
+        ipis_without_ssrs: ubench.baseline.kernel.ipis,
+        coalescing_reduction: hiss_sim::mean(&reductions),
+    })
+}
+
+/// Renders the §IV-C findings. With no IPIs at all in the no-SSR run
+/// the inflation is shown against the paper's 477×.
+pub fn render_section4c(s: &Section4c) -> String {
+    let inflation = if s.ipis_without_ssrs == 0 {
+        ">> 477x (baseline has none)".to_string()
+    } else {
+        format!(
+            "{:.0}x",
+            s.ipis_with_ssrs as f64 / s.ipis_without_ssrs as f64
+        )
+    };
+    let rows: Vec<Vec<String>> = [
+        (
+            "interrupts per core",
+            format!("{:?}", s.interrupts_per_core),
+        ),
+        (
+            "interrupt imbalance (max/min)",
+            format!("{:.2}", s.interrupt_imbalance),
+        ),
+        ("IPIs with SSRs", s.ipis_with_ssrs.to_string()),
+        ("IPIs without SSRs", s.ipis_without_ssrs.to_string()),
+        ("IPI inflation", inflation),
+        (
+            "coalescing interrupt reduction",
+            pct(s.coalescing_reduction),
+        ),
+    ]
+    .into_iter()
+    .map(|(measurement, value)| vec![measurement.to_string(), value])
+    .collect();
+    render_table(&["Measurement", "Value"], &rows)
 }
 
 /// Fig. 6 ratios of `treated` against `default`, the same pairing under
@@ -184,12 +310,8 @@ pub fn fig6_panels(pairs: &[(Cell, Row)]) -> Vec<(String, String)> {
                 .iter()
                 .filter(|(c, _)| c.knobs.mitigation == m)
                 .map(|(c, treated)| {
-                    let default = pairs.iter().find(|(d, _)| {
-                        d.knobs.mitigation == Mitigation::DEFAULT
-                            && (&d.cpu_app, &d.gpu_app, d.replica)
-                                == (&c.cpu_app, &c.gpu_app, c.replica)
-                    });
-                    let ratios = default.map(|(_, d)| ratio_vs_default(treated, d));
+                    let ratios =
+                        twin(pairs, c, Mitigation::DEFAULT).map(|d| ratio_vs_default(treated, d));
                     vec![
                         m.label(),
                         c.cpu_app.clone(),
@@ -284,6 +406,27 @@ pub fn render_pareto(points: &[ParetoPoint]) -> String {
     render_table(&["combination", "CPU geomean", "GPU geomean", ""], &data)
 }
 
+/// Renders Fig. 9 from an idle-CPU `mitigation` sweep: the no-SSR bar
+/// (the first row's pinned baseline), then one CC6 residency bar per
+/// combination, in sweep order.
+pub fn render_fig9(pairs: &[(Cell, Row)]) -> String {
+    let no_ssr = pairs.first().map(|(c, r)| {
+        vec![
+            format!("{}_no_SSR", c.gpu_app),
+            pct(r.baseline.cc6_residency),
+        ]
+    });
+    let data: Vec<Vec<String>> = no_ssr
+        .into_iter()
+        .chain(
+            pairs
+                .iter()
+                .map(|(c, r)| vec![c.knobs.mitigation.label(), pct(r.report.cc6_residency)]),
+        )
+        .collect();
+    render_table(&["configuration", "CC6 residency"], &data)
+}
+
 /// Renders Fig. 12 from a `qos_percent` sweep against ubench: one line
 /// per (CPU application, threshold), CPU-major, thresholds in sweep
 /// order. `0` is the governor-off `default` bar and `x` is `th_x`.
@@ -292,18 +435,18 @@ pub fn render_fig12(pairs: &[(Cell, Row)]) -> String {
         .into_iter()
         .flat_map(|cpu| pairs.iter().filter(move |(c, _)| c.cpu_app == cpu))
         .map(|(c, r)| {
-            let pct = c.knobs.qos_percent;
-            let throttle = if pct == 0.0 {
+            let qos = c.knobs.qos_percent;
+            let throttle = if qos == 0.0 {
                 "default".to_string()
             } else {
-                format!("th_{pct}")
+                format!("th_{qos}")
             };
             vec![
                 c.cpu_app.clone(),
                 throttle,
                 cell3(r.cpu_perf),
                 format!("{:.3}", r.gpu_perf),
-                format!("{:.1}%", r.report.cpu_ssr_overhead * 100.0),
+                pct(r.report.cpu_ssr_overhead),
             ]
         })
         .collect();
@@ -317,6 +460,47 @@ pub fn render_fig12(pairs: &[(Cell, Row)]) -> String {
         ],
         &data,
     )
+}
+
+/// Renders a `gpus` sweep (the multi-accelerator extension): one line
+/// per copy count with the CPU performance, CC6 residency and aggregate
+/// SSR rate.
+pub fn render_scaling(pairs: &[(Cell, Row)]) -> String {
+    let data: Vec<Vec<String>> = pairs
+        .iter()
+        .map(|(c, r)| {
+            vec![
+                c.knobs.gpus.to_string(),
+                cell3(r.cpu_perf),
+                pct(r.report.cc6_residency),
+                format!("{:.0}", r.report.ssr_rate),
+            ]
+        })
+        .collect();
+    render_table(&["GPUs", "CPU perf", "CC6", "SSR/s"], &data)
+}
+
+/// Renders a `coalesce_window_us` sweep, one line per window: the CPU
+/// performance, the SSR rate relative to the first window's, and
+/// [`interrupts_per_ssr`].
+pub fn render_window_sweep(pairs: &[(Cell, Row)]) -> String {
+    let first = pairs.first().map_or(0.0, |(_, r)| r.report.ssr_rate);
+    pairs
+        .iter()
+        .map(|(c, r)| {
+            let ratio = if first > 0.0 {
+                r.report.ssr_rate / first
+            } else {
+                0.0
+            };
+            format!(
+                "  window {:>8}: CPU {}  GPU ratio {ratio:.3}  interrupts/SSR {:.2}\n",
+                c.knobs.cfg.coalesce_window.to_string(),
+                cell3(r.cpu_perf),
+                interrupts_per_ssr(&r.report)
+            )
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -493,6 +677,78 @@ mod tests {
                 ["vips", "th_2.5"]
             ],
             "{text}"
+        );
+    }
+
+    /// A row with the given interrupt and SSR counts, and residency.
+    fn kernel_row(gpu_app: &str, interrupts: [u64; 4], ssrs: u64, cc6: f64) -> Row {
+        let mut r = row("idle", gpu_app, 0.0, 1.0);
+        let run = Arc::make_mut(&mut r.report);
+        run.kernel.interrupts_per_core = interrupts.to_vec();
+        run.kernel.ssrs_serviced = ssrs;
+        run.kernel.ipis = ssrs;
+        run.cc6_residency = cc6;
+        r
+    }
+
+    #[test]
+    fn fig4_shows_both_residencies_and_the_points_lost() {
+        let mut r = kernel_row("ubench", [0; 4], 0, 0.12);
+        Arc::make_mut(&mut r.baseline).cc6_residency = 0.86;
+        let text = render_fig4(&[r]);
+        assert!(text.contains("86.0%"), "{text}");
+        assert!(text.contains("12.0%"), "{text}");
+        assert!(text.contains("74.0"), "{text}");
+    }
+
+    /// §IV-C: spread and IPIs come from the default ubench cell; the
+    /// reduction averages each default cell against its coalescing twin:
+    /// 1 − 0.5/1 = 0.5 for bfs and 1 − 0.75/1 = 0.25 for ubench.
+    #[test]
+    fn section4c_folds_each_default_cell_with_its_coalescing_twin() {
+        let coalesce = Mitigation {
+            coalesce: true,
+            ..Mitigation::DEFAULT
+        };
+        let pairs = vec![
+            pair(
+                Mitigation::DEFAULT,
+                kernel_row("bfs", [10, 10, 10, 10], 40, 0.0),
+            ),
+            pair(
+                Mitigation::DEFAULT,
+                kernel_row("ubench", [30, 20, 25, 25], 100, 0.0),
+            ),
+            pair(coalesce, kernel_row("bfs", [5, 5, 5, 5], 40, 0.0)),
+            pair(coalesce, kernel_row("ubench", [20, 20, 20, 15], 100, 0.0)),
+        ];
+        let s = section4c(&pairs).unwrap();
+        assert_eq!(s.interrupts_per_core, [30, 20, 25, 25]);
+        assert_eq!(s.interrupt_imbalance, 1.5);
+        assert_eq!((s.ipis_with_ssrs, s.ipis_without_ssrs), (100, 0));
+        assert!((s.coalescing_reduction - 0.375).abs() < 1e-12, "{s:?}");
+        assert!(render_section4c(&s).contains(">> 477x"));
+        assert_eq!(section4c(&pairs[..1]), None, "no ubench cell");
+    }
+
+    /// The window sweep normalises SSR rates to its first window.
+    #[test]
+    fn window_sweep_is_relative_to_the_first_window() {
+        let window = |us: u64, rate: f64| {
+            let mut knobs = Knobs::default();
+            knobs.cfg.coalesce_window = Ns::from_micros(us);
+            let mut r = kernel_row("ubench", [1, 1, 0, 0], 4, 0.0);
+            Arc::make_mut(&mut r.report).ssr_rate = rate;
+            knob_pair(knobs, r)
+        };
+        let text = render_window_sweep(&[window(0, 100.0), window(13, 150.0)]);
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(
+            lines,
+            [
+                "  window      0ns: CPU 0.000  GPU ratio 1.000  interrupts/SSR 0.50",
+                "  window 13.000µs: CPU 0.000  GPU ratio 1.500  interrupts/SSR 0.50",
+            ]
         );
     }
 

@@ -15,7 +15,10 @@
 //!
 //! Every diagnostic carries the offending line number.
 
-use hiss::{CoreId, CriticalityConfig, DeviceKind, Mitigation, Ns, SystemConfig};
+use hiss::{
+    CoreId, CriticalityConfig, DeviceKind, ExperimentBuilder, Mitigation, Ns, SystemConfig,
+    IDLE_CPU,
+};
 
 use crate::compile::{Column, COLUMNS};
 use crate::parse::{Document, Entry, ScenarioError, Value};
@@ -1104,7 +1107,7 @@ fn app_list(entry: &Entry, kind: CatalogKind) -> Result<Vec<String>, ScenarioErr
     for item in items {
         let name = expect_str(item, &entry.key, entry.line)?;
         let known = match kind {
-            CatalogKind::Cpu => hiss_workloads::CpuAppSpec::by_name(name).is_some(),
+            CatalogKind::Cpu => ExperimentBuilder::knows_cpu_app(name),
             CatalogKind::Gpu => hiss_workloads::GpuAppSpec::by_name(name).is_some(),
         };
         if !known {
@@ -1112,6 +1115,7 @@ fn app_list(entry: &Entry, kind: CatalogKind) -> Result<Vec<String>, ScenarioErr
                 CatalogKind::Cpu => hiss_workloads::parsec_suite()
                     .iter()
                     .map(|s| s.name)
+                    .chain([IDLE_CPU])
                     .collect(),
                 CatalogKind::Gpu => hiss_workloads::gpu_suite().iter().map(|s| s.name).collect(),
             };
@@ -1316,7 +1320,17 @@ gpu = ["ubench"]
         .unwrap_err();
         assert_eq!(err.line, 4);
         assert!(err.msg.contains("unknown CPU application"), "{}", err.msg);
-        assert!(err.msg.contains("x264"), "{}", err.msg);
+        assert!(err.msg.contains("x264, idle)"), "{}", err.msg);
+        // `idle` (no CPU application) is a CPU workload, not a GPU one.
+        let pack = |cpu: &str, gpu: &str| {
+            Scenario::from_str(&format!(
+                "[scenario]\nname = \"t\"\n[workload]\ncpu = [{cpu}]\ngpu = [{gpu}]\n"
+            ))
+        };
+        let sc = pack("\"idle\", \"x264\"", "\"ubench\"").unwrap();
+        assert_eq!(sc.cpu_apps(false), ["idle", "x264"]);
+        let err = pack("\"x264\"", "\"idle\"").unwrap_err();
+        assert!(err.msg.contains("unknown GPU application"), "{}", err.msg);
     }
 
     #[test]

@@ -72,7 +72,7 @@ use std::env;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use hiss::experiments::{extensions, fig4, fig9, section4c, tables};
+use hiss::experiments::{extensions, tables};
 use hiss::{ExperimentBuilder, Mitigation, Ns, QosParams, RunReport, SystemConfig};
 use hiss_bench::baseline::{self, BaselineFile, SuiteSnapshot};
 use hiss_bench::compare;
@@ -227,7 +227,7 @@ fn report_json(r: &RunReport) -> String {
 fn build(cfg: SystemConfig, args: &Args) -> Option<ExperimentBuilder> {
     let mut b = ExperimentBuilder::new(cfg);
     if let Some(cpu) = args.value("--cpu") {
-        if hiss::CpuAppSpec::by_name(cpu).is_none() {
+        if !ExperimentBuilder::knows_cpu_app(cpu) {
             eprintln!("unknown CPU app {cpu:?}; see `hiss-cli list`");
             return None;
         }
@@ -1029,26 +1029,18 @@ fn banner(title: &str) {
 }
 
 /// `hiss-cli figures [--quick]` — regenerates every table and figure of
-/// the paper's evaluation, in paper order. Figs. 3, 6, 7, 8 and 12 run
-/// their `scenarios/` packs (relative to the working directory; `--quick`
-/// uses each pack's quick subsets) and render through [`figures`], as
-/// does Fig. 5 from the ubench column of the Fig. 3 rows; Fig. 4 takes
-/// its GPU list from `fig3.hiss`; the rest call the `hiss::experiments`
-/// runners.
+/// the paper's evaluation, in paper order. Every figure, §IV-C and the
+/// multi-GPU and coalescing-window extensions run their `scenarios/`
+/// packs (relative to the working directory; `--quick` uses each pack's
+/// quick subsets) and render through [`figures`]; Fig. 5 reads the
+/// ubench column of the Fig. 3 rows. Tables I/II and the remaining
+/// extensions call the `hiss::experiments` runners.
 fn print_figures(cfg: SystemConfig, quick: bool) -> Result<(), String> {
     let pack = |name: &str| {
         let path = Path::new("scenarios").join(format!("{name}.hiss"));
         scenario::load(&path).map_err(|e| format!("{}: {e}", path.display()))
     };
-    let (fig3, fig6, fig7, fig8, fig12) = (
-        pack("fig3")?,
-        pack("fig6")?,
-        pack("pareto")?,
-        pack("fig8")?,
-        pack("fig12")?,
-    );
-    let gpu: Vec<&str> = fig3.gpu_apps(quick).iter().map(String::as_str).collect();
-    let pairs = |sc| figures::run_pairs(sc, quick);
+    let pairs = |name: &str| Ok::<_, String>(figures::run_pairs(&pack(name)?, quick));
 
     banner("Table I — GPU system service requests");
     println!("{}", tables::render_table1(&tables::table1(&cfg)));
@@ -1057,7 +1049,7 @@ fn print_figures(cfg: SystemConfig, quick: bool) -> Result<(), String> {
     println!("{}", tables::render_table2(&tables::table2(&cfg)));
 
     banner("Fig. 3a — normalised CPU application performance under GPU SSRs");
-    let rows3 = scenario::run(&fig3, quick);
+    let rows3 = scenario::run(&pack("fig3")?, quick);
     println!("{}", figures::fig3_grid(&rows3, |r| r.cpu_perf));
 
     banner("Fig. 3b — normalised GPU performance under CPU interference");
@@ -1065,15 +1057,20 @@ fn print_figures(cfg: SystemConfig, quick: bool) -> Result<(), String> {
     println!("{:#?}", figures::fig3_summary(&rows3));
 
     banner("Fig. 4 — CC6 residency with and without SSRs");
-    println!("{}", fig4::render(&fig4::fig4_with(&cfg, &gpu)));
+    println!(
+        "{}",
+        figures::render_fig4(&scenario::run(&pack("fig4")?, quick))
+    );
 
     banner("Fig. 5 — µarchitectural effects of ubench SSRs");
     println!("{}", figures::render_fig5(&rows3));
 
     banner("§IV-C — interrupt distribution, IPIs, coalescing");
-    println!("{}", section4c::render(&section4c::section4c(&cfg)));
+    let s4c = figures::section4c(&pairs("section4c")?)
+        .ok_or("scenarios/section4c.hiss: no default ubench cell")?;
+    println!("{}", figures::render_section4c(&s4c));
 
-    for (label, table) in figures::fig6_panels(&pairs(&fig6)) {
+    for (label, table) in figures::fig6_panels(&pairs("fig6")?) {
         banner(&format!("Fig. 6 — {label} (CPU and GPU ratios vs default)"));
         println!("{table}");
     }
@@ -1081,37 +1078,29 @@ fn print_figures(cfg: SystemConfig, quick: bool) -> Result<(), String> {
     banner("Fig. 7 — Pareto: mitigation combinations under ubench");
     println!(
         "{}",
-        figures::render_pareto(&figures::pareto_points(&pairs(&fig7)))
+        figures::render_pareto(&figures::pareto_points(&pairs("pareto")?))
     );
 
     banner("Fig. 8 — Pareto: mitigation combinations, full GPU applications");
     println!(
         "{}",
-        figures::render_pareto(&figures::pareto_points(&pairs(&fig8)))
+        figures::render_pareto(&figures::pareto_points(&pairs("fig8")?))
     );
 
     banner("Fig. 9 — mitigation techniques vs CC6 residency (ubench)");
-    println!("{}", fig9::render(&fig9::fig9(&cfg)));
+    println!("{}", figures::render_fig9(&pairs("fig9")?));
 
     banner("Fig. 12 — QoS throttling (default / th_25 / th_5 / th_1)");
-    println!("{}", figures::render_fig12(&pairs(&fig12)));
+    println!("{}", figures::render_fig12(&pairs("fig12")?));
 
     banner("Extension — multi-accelerator scaling (x264 vs N × sssp)");
-    println!(
-        "{}",
-        extensions::render_scaling(&extensions::multi_gpu_scaling(&cfg, "x264", "sssp", 4))
-    );
+    println!("{}", figures::render_scaling(&pairs("scaling")?));
 
     banner("Extension — coalescing window sweep (x264 vs ubench)");
-    for w in extensions::coalescing_window_sweep(&cfg, "x264", "ubench", &[0, 2, 5, 9, 13]) {
-        println!(
-            "  window {:>8}: CPU {:.3}  GPU ratio {:.3}  interrupts/SSR {:.2}",
-            w.window.to_string(),
-            w.cpu_perf,
-            w.gpu_ratio,
-            w.interrupts_per_ssr
-        );
-    }
+    print!(
+        "{}",
+        figures::render_window_sweep(&pairs("coalesce_window")?)
+    );
 
     banner("Extension — outstanding-SSR-limit sweep (QoS leverage)");
     for l in extensions::outstanding_limit_sweep(&cfg, &[8, 16, 64, 256]) {
@@ -1214,6 +1203,10 @@ fn main() -> ExitCode {
                     s.name, s.threads, s.cache_sensitivity, s.branch_sensitivity
                 );
             }
+            println!(
+                "  {:>14}: no CPU application (the GPU runs alone)",
+                hiss::IDLE_CPU
+            );
             println!("\nGPU applications (SSR generators):");
             for s in hiss::gpu_suite() {
                 println!(

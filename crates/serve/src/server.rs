@@ -332,6 +332,37 @@ gpu = ["ubench"]
         handle.join().unwrap();
     }
 
+    /// A submit line just under the cap (a tiny pack padded with a
+    /// comment) is answered within seconds: decoding the line is linear
+    /// in its length. The watchdog thread turns a hang into a failure.
+    #[test]
+    #[allow(clippy::disallowed_methods)]
+    fn near_cap_submit_line_is_answered_promptly() {
+        let (server, handle) = start(None);
+        let addr = server.local_addr().unwrap().to_string();
+        let text = |pad: usize| format!("{TINY}# {}\n", "x".repeat(pad));
+        let encoded = |pad| {
+            Request::Submit {
+                scenario: text(pad),
+                quick: false,
+            }
+            .encode()
+            .len()
+        };
+        let pad = MAX_REQUEST_LINE - 64 - encoded(0);
+        assert!((MAX_REQUEST_LINE - 100..MAX_REQUEST_LINE - 1).contains(&encoded(pad)));
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        let to = addr.clone();
+        std::thread::spawn(move || tx.send(client::submit(&to, &text(pad), false).unwrap()));
+        match rx.recv_timeout(std::time::Duration::from_secs(20)) {
+            Ok(Submission::Completed { cells, .. }) => assert_eq!(cells, 1),
+            other => panic!("expected a prompt completion, got {other:?}"),
+        }
+        client::shutdown(&addr).unwrap();
+        handle.join().unwrap();
+    }
+
     fn walk(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
         let mut out = Vec::new();
         if let Ok(entries) = std::fs::read_dir(dir) {

@@ -1,5 +1,5 @@
 //! Interference sweep: a scaled-down Fig. 3 grid plus the §IV-C
-//! interrupt analysis.
+//! interrupt analysis (the committed `scenarios/section4c.hiss`).
 //!
 //! Shows how each CPU application suffers under each GPU SSR generator
 //! and, symmetrically, how CPU work delays the accelerator. Runs a 5 × 3
@@ -10,8 +10,6 @@
 //! cargo run --release --example interference_sweep -p hiss-scenario
 //! ```
 
-use hiss::experiments::section4c;
-use hiss::SystemConfig;
 use hiss_scenario::{figures, Scenario};
 
 const PACK: &str = r#"
@@ -50,6 +48,9 @@ fn main() {
     println!();
 
     println!("§IV-C — sources of SSR overhead\n");
-    let analysis = section4c::section4c(&SystemConfig::a10_7850k());
-    println!("{}", section4c::render(&analysis));
+    let s4c =
+        Scenario::from_str(include_str!("../scenarios/section4c.hiss")).expect("section4c parses");
+    let analysis = figures::section4c(&figures::run_pairs(&s4c, false))
+        .expect("section4c.hiss has a default ubench cell");
+    println!("{}", figures::render_section4c(&analysis));
 }

@@ -6,12 +6,15 @@
 //! factor, and where the crossovers fall* reproduce (see EXPERIMENTS.md
 //! for the per-figure comparison and known deviations).
 //!
-//! Grid experiments run as in-memory `.hiss` packs, exactly the path the
-//! committed `scenarios/` packs and `hiss-cli figures` take; runs a pack
-//! cannot express (GPU-alone, pinned GPUs, recalibrated constants) use
+//! Grid experiments run as `.hiss` packs, exactly the path
+//! `hiss-cli figures` takes: Figs. 4 and 9, §IV-C and the scaling and
+//! coalescing-window extensions read the committed `scenarios/` packs,
+//! the rest run in-memory packs over the subsets they need. Runs a pack
+//! cannot express (recalibrated constants, single-run mechanisms) use
 //! [`ExperimentBuilder`] directly.
 
-use hiss::experiments::{fig4, section4c};
+use std::path::Path;
+
 use hiss::{ExperimentBuilder, Mitigation, Ns, SystemConfig};
 use hiss_scenario::figures::{self, ratio_vs_default};
 use hiss_scenario::{Cell, Row, Scenario};
@@ -189,37 +192,60 @@ fn subset_grid_shows_interference_both_ways() {
     assert!(perf("raytrace", "ubench") > perf("fluidanimate", "ubench"));
 }
 
-/// §IV-B / Fig. 4: ubench SSRs collapse CC6 residency from 86% to 12%;
-/// bfs (clustered early) loses far less than the streaming apps.
+/// A committed `scenarios/` pack's quick grid, each row paired with its
+/// cell (for these packs quick is the whole grid, except that
+/// `fig4.hiss` keeps three of its six GPU applications).
+fn pack(name: &str) -> Vec<(Cell, Row)> {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("../../scenarios/{name}.hiss"));
+    let sc = hiss_scenario::load(&path).expect("committed pack loads");
+    figures::run_pairs(&sc, true)
+}
+
+/// §IV-B / Fig. 4 (`fig4.hiss`): on idle CPUs, every GPU application's
+/// SSRs cost CC6 residency; ubench collapses it from 86% to 12%; bfs
+/// (clustered early) loses far less than the streaming apps.
 #[test]
 fn cc6_residency_collapse() {
-    let rows = fig4::fig4_with(&cfg(), &["bfs", "sssp", "ubench"]);
+    let rows: Vec<Row> = pack("fig4").into_iter().map(|(_, r)| r).collect();
     let get = |n: &str| rows.iter().find(|r| r.gpu_app == n).unwrap();
+    let lost = |n: &str| get(n).baseline.cc6_residency - get(n).report.cc6_residency;
+    for r in &rows {
+        let (quiet, noisy) = (r.baseline.cc6_residency, r.report.cc6_residency);
+        assert!(r.cpu_perf.is_none(), "{}: idle CPUs run nothing", r.gpu_app);
+        assert!(
+            noisy < quiet,
+            "{}: SSRs should cut residency ({noisy} vs {quiet})",
+            r.gpu_app
+        );
+        assert!(quiet > 0.6, "{} baseline too awake", r.gpu_app);
+    }
     let ubench = get("ubench");
     assert!(
-        ubench.cc6_no_ssr > 0.75,
+        ubench.baseline.cc6_residency > 0.75,
         "no-SSR residency {} (paper: 0.86)",
-        ubench.cc6_no_ssr
+        ubench.baseline.cc6_residency
     );
     assert!(
-        ubench.cc6_ssr < 0.30,
+        ubench.report.cc6_residency < 0.30,
         "ubench SSR residency {} (paper: 0.12)",
-        ubench.cc6_ssr
+        ubench.report.cc6_residency
     );
     assert!(
-        get("bfs").lost_points() < get("sssp").lost_points(),
-        "bfs ({}) should lose fewer points than sssp ({})",
-        get("bfs").lost_points(),
-        get("sssp").lost_points()
+        lost("bfs") < lost("sssp") && lost("bfs") < lost("ubench"),
+        "bfs ({}) should lose fewer points than sssp ({}) and ubench ({})",
+        lost("bfs"),
+        lost("sssp"),
+        lost("ubench")
     );
 }
 
-/// §IV-C: SSR interrupts are evenly spread across all CPUs; IPIs inflate
-/// by orders of magnitude; coalescing cuts interrupts (paper: 16%
-/// average).
+/// §IV-C (`section4c.hiss`): SSR interrupts are evenly spread across all
+/// CPUs; IPIs inflate by orders of magnitude; coalescing cuts interrupts
+/// (paper: 16% average).
 #[test]
 fn section4c_interrupt_analysis() {
-    let s = section4c::section4c(&cfg());
+    let s = figures::section4c(&pack("section4c")).expect("section4c.hiss has a ubench cell");
+    assert_eq!(s.interrupts_per_core.len(), 4);
     assert!(
         s.interrupt_imbalance < 1.2,
         "interrupts not evenly spread: {:?}",
@@ -232,6 +258,74 @@ fn section4c_interrupt_analysis() {
         "coalescing reduction {} (paper: 0.16)",
         s.coalescing_reduction
     );
+}
+
+/// §V-E / Fig. 9 (`fig9.hiss`): SSRs crater idle-CPU residency, and only
+/// the combinations that steer recover a large part of it, by letting
+/// the un-steered cores sleep (paper: 12% → ~50%).
+#[test]
+fn mitigations_recover_sleep_time() {
+    let pairs = pack("fig9");
+    assert_eq!(pairs.len(), 8);
+    let no_ssr = pairs[0].1.baseline.cc6_residency;
+    let (_, default) = pairs
+        .iter()
+        .find(|(c, _)| c.knobs.mitigation == Mitigation::DEFAULT)
+        .unwrap();
+    let default = default.report.cc6_residency;
+    assert!(no_ssr > 0.7, "no_SSR residency {no_ssr}");
+    assert!(default < no_ssr * 0.6, "default residency {default}");
+    for (c, r) in &pairs {
+        let cc6 = r.report.cc6_residency;
+        if c.knobs.mitigation.steer_single_core {
+            assert!(
+                cc6 > default + 0.1,
+                "{}: {cc6} vs {default}",
+                c.knobs.mitigation.label()
+            );
+        } else {
+            assert!(cc6 < no_ssr * 0.6, "{}: {cc6}", c.knobs.mitigation.label());
+        }
+    }
+}
+
+/// Beyond the paper (`scaling.hiss`): sssp alone does not saturate the
+/// SSR service chain, so every added accelerator adds SSR traffic and
+/// costs x264 more.
+#[test]
+fn more_gpus_mean_more_interference() {
+    let rows: Vec<Row> = pack("scaling").into_iter().map(|(_, r)| r).collect();
+    assert_eq!(rows.len(), 4);
+    for w in rows.windows(2) {
+        assert!(cpu_perf(&w[1]) < cpu_perf(&w[0]));
+        assert!(w[1].report.ssr_rate > w[0].report.ssr_rate);
+    }
+    assert!(
+        cpu_perf(&rows[2]) < cpu_perf(&rows[0]) - 0.02,
+        "3 GPUs should hurt more than 1: {} vs {}",
+        cpu_perf(&rows[2]),
+        cpu_perf(&rows[0])
+    );
+    assert!(rows[2].report.ssr_rate > rows[0].report.ssr_rate * 1.5);
+}
+
+/// Beyond the paper (`coalesce_window.hiss`): a zero window sends one
+/// interrupt per SSR, and every wider window batches more SSRs per
+/// interrupt.
+#[test]
+fn window_sweep_batches_more_with_larger_windows() {
+    let rows: Vec<Row> = pack("coalesce_window")
+        .into_iter()
+        .map(|(_, r)| r)
+        .collect();
+    let per_ssr: Vec<f64> = rows
+        .iter()
+        .map(|r| figures::interrupts_per_ssr(&r.report))
+        .collect();
+    assert!(per_ssr[0] > 0.99, "zero window batched: {per_ssr:?}");
+    for w in per_ssr.windows(2) {
+        assert!(w[1] < w[0], "wider windows should batch more: {per_ssr:?}");
+    }
 }
 
 /// §V-C / Fig. 6f: the monolithic bottom half raises GPU throughput by

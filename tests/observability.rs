@@ -154,6 +154,27 @@ fn coalescing_reduction_reproducible_from_snapshot() {
     );
 }
 
+/// Snapshot decoding is linear in string length: a 1 MiB label (the
+/// serve request-line cap) of multi-byte characters and escapes decodes
+/// well inside a watchdog that re-validating the rest of the input per
+/// character overruns many times over. The watchdog thread turns a
+/// hang into a failure.
+#[test]
+#[allow(clippy::disallowed_methods)]
+fn a_one_mib_label_decodes_in_linear_time() {
+    let mut reg = MetricsRegistry::new();
+    reg.label("big", "é\"\\\n".repeat(1 << 18));
+    let json = reg.to_json();
+    assert!(json.len() > 1 << 20, "{} bytes", json.len());
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(MetricsRegistry::from_json(&json)));
+    let back = rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("decoding a 1 MiB label must return promptly")
+        .expect("the snapshot decodes");
+    assert_eq!(back, reg);
+}
+
 fn kind_matches(value: &MetricValue, kind: MetricKind) -> bool {
     matches!(
         (value, kind),

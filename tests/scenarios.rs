@@ -5,9 +5,11 @@
 //!
 //! The fig3 scenario is additionally pinned bit-for-bit against direct
 //! [`ExperimentBuilder`] runs normalised by `RunReport`'s own ratio
-//! methods, and the Fig. 6 ratios `hiss-cli figures` derives from
-//! fig6.hiss rows are pinned against the same methods. Row encoding is
-//! pinned against a field-by-field oracle.
+//! methods, the Fig. 6 ratios `hiss-cli figures` derives from fig6.hiss
+//! rows are pinned against the same methods, and the fig4, fig9,
+//! section4c, scaling and coalesce_window packs are pinned against the
+//! runners they replaced. Row encoding is pinned against a
+//! field-by-field oracle.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -15,8 +17,8 @@ use std::path::{Path, PathBuf};
 use hiss::{ExperimentBuilder, Mitigation, SystemConfig};
 use hiss_obs::json::escape;
 use hiss_scenario::compile::{Datum, COLUMNS};
-use hiss_scenario::figures::{self, ratio_vs_default};
-use hiss_scenario::{check, expand, load, output, run, Row, Scenario};
+use hiss_scenario::figures::{self, ratio_vs_default, Section4c};
+use hiss_scenario::{check, expand, load, output, run, Cell, Row, Scenario};
 
 fn scenarios_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
@@ -190,6 +192,206 @@ fn fig6_ratios_from_rows_match_run_reports_bit_for_bit() {
             "x264×{gpu} GPU ratio"
         );
     }
+}
+
+/// A committed pack's quick grid, each row paired with its cell.
+fn committed_pairs(name: &str) -> Vec<(Cell, Row)> {
+    let sc = load(&scenarios_dir().join(format!("{name}.hiss"))).unwrap();
+    figures::run_pairs(&sc, true)
+}
+
+/// Fig. 4 as its runner computed it, per GPU application: CC6
+/// residency of the pinned GPU alone (`no_SSR`) and of the SSR-raising
+/// GPU alone (`gpu_SSR`).
+fn fig4_oracle(gpu_app: &str) -> (f64, f64) {
+    let cfg = SystemConfig::a10_7850k();
+    let quiet = ExperimentBuilder::new(cfg).gpu_app_pinned(gpu_app).run();
+    let noisy = ExperimentBuilder::new(cfg).gpu_app(gpu_app).run();
+    (quiet.cc6_residency, noisy.cc6_residency)
+}
+
+/// Fig. 9 as its runner computed it: the pinned ubench's residency,
+/// then ubench alone under each combination in legend order.
+fn fig9_oracle() -> Vec<f64> {
+    let cfg = SystemConfig::a10_7850k();
+    let combos = Mitigation::all_combinations();
+    hiss::run_jobs(combos.len() + 1, |i| {
+        let b = ExperimentBuilder::new(cfg);
+        match i {
+            0 => b.gpu_app_pinned("ubench"),
+            _ => b.gpu_app("ubench").mitigation(combos[i - 1]),
+        }
+        .run()
+        .cc6_residency
+    })
+}
+
+/// §IV-C as its runner computed it: blackscholes against ubench with
+/// and without SSRs, and the mean interrupts-per-SSR reduction that
+/// coalescing gives over the GPU suite.
+fn section4c_oracle() -> Section4c {
+    let cfg = SystemConfig::a10_7850k();
+    let corun = |gpu_app: &str, m: Mitigation| {
+        ExperimentBuilder::new(cfg)
+            .cpu_app("blackscholes")
+            .gpu_app(gpu_app)
+            .mitigation(m)
+            .run()
+    };
+    let coalesce = Mitigation {
+        coalesce: true,
+        ..Mitigation::DEFAULT
+    };
+    let with_ssrs = corun("ubench", Mitigation::DEFAULT);
+    let without_ssrs = ExperimentBuilder::new(cfg)
+        .cpu_app("blackscholes")
+        .gpu_app_pinned("ubench")
+        .run();
+    let rate = |r: &hiss::RunReport| {
+        let p: u64 = r.kernel.interrupts_per_core.iter().sum();
+        p as f64 / r.kernel.ssrs_serviced.max(1) as f64
+    };
+    let reductions: Vec<f64> = hiss::par_map(&hiss::gpu_suite(), |app| {
+        let (plain, coal) = (
+            corun(app.name, Mitigation::DEFAULT),
+            corun(app.name, coalesce),
+        );
+        (rate(&plain) > 0.0).then(|| 1.0 - rate(&coal) / rate(&plain))
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    let counts = with_ssrs.kernel.interrupts_per_core.clone();
+    let max = *counts.iter().max().unwrap() as f64;
+    let min = *counts.iter().min().unwrap() as f64;
+    Section4c {
+        interrupt_imbalance: max / min,
+        interrupts_per_core: counts,
+        ipis_with_ssrs: with_ssrs.kernel.ipis,
+        ipis_without_ssrs: without_ssrs.kernel.ipis,
+        coalescing_reduction: hiss_sim::mean(&reductions),
+    }
+}
+
+/// The scaling runner: x264 against 1..=4 copies of sssp, as
+/// `(cpu_perf vs the single pinned sssp, CC6 residency, SSR rate)`.
+fn scaling_oracle() -> Vec<(f64, f64, f64)> {
+    let cfg = SystemConfig::a10_7850k();
+    let base = ExperimentBuilder::new(cfg)
+        .cpu_app("x264")
+        .gpu_app_pinned("sssp")
+        .run();
+    hiss::run_jobs(4, |i| {
+        let mut b = ExperimentBuilder::new(cfg).cpu_app("x264");
+        for _ in 0..=i {
+            b = b.gpu_app("sssp");
+        }
+        let run = b.run();
+        (
+            run.cpu_perf_vs(&base).unwrap(),
+            run.cc6_residency,
+            run.ssr_rate,
+        )
+    })
+}
+
+/// The window-sweep runner: x264 against ubench with coalescing off at
+/// 0 µs and on at every wider window, as `(cpu_perf, SSR rate relative
+/// to the 0 µs run, interrupts per SSR)`.
+fn window_oracle(windows_us: &[u64]) -> Vec<(f64, f64, f64)> {
+    let cfg = SystemConfig::a10_7850k();
+    let base = ExperimentBuilder::new(cfg)
+        .cpu_app("x264")
+        .gpu_app_pinned("ubench")
+        .run();
+    let runs = hiss::par_map(windows_us, |&us| {
+        let mut c = cfg;
+        c.coalesce_window = hiss::Ns::from_micros(us);
+        ExperimentBuilder::new(c)
+            .cpu_app("x264")
+            .gpu_app("ubench")
+            .mitigation(Mitigation {
+                coalesce: us > 0,
+                ..Mitigation::DEFAULT
+            })
+            .run()
+    });
+    runs.iter()
+        .map(|run| {
+            let interrupts: u64 = run.kernel.interrupts_per_core.iter().sum();
+            (
+                run.cpu_perf_vs(&base).unwrap(),
+                run.ssr_rate / runs[0].ssr_rate,
+                interrupts as f64 / run.kernel.ssrs_serviced.max(1) as f64,
+            )
+        })
+        .collect()
+}
+
+/// Figs. 4 and 9, §IV-C and the scaling and window extensions, rendered
+/// from their packs, are bit-equal to the runners they replaced (kept
+/// above as direct [`ExperimentBuilder`] oracles): both Fig. 4 columns,
+/// all nine Fig. 9 bars, every §IV-C field and every extension value.
+#[test]
+fn idle_and_extension_packs_are_bit_identical_to_their_runners() {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+    let fig4 = committed_pairs("fig4");
+    for (c, r) in &fig4 {
+        let (quiet, noisy) = fig4_oracle(&c.gpu_app);
+        assert_eq!(
+            bits(&[r.baseline.cc6_residency, r.report.cc6_residency]),
+            bits(&[quiet, noisy]),
+            "fig4 {}",
+            c.gpu_app
+        );
+    }
+    assert_eq!(fig4.len(), 3);
+
+    let fig9 = committed_pairs("fig9");
+    let mut bars = vec![fig9[0].1.baseline.cc6_residency];
+    bars.extend(fig9.iter().map(|(_, r)| r.report.cc6_residency));
+    assert_eq!(bits(&bars), bits(&fig9_oracle()), "fig9 bars");
+
+    let s4c = figures::section4c(&committed_pairs("section4c")).unwrap();
+    let oracle = section4c_oracle();
+    assert_eq!(s4c, oracle);
+    assert_eq!(
+        bits(&[s4c.interrupt_imbalance, s4c.coalescing_reduction]),
+        bits(&[oracle.interrupt_imbalance, oracle.coalescing_reduction])
+    );
+
+    let scaling: Vec<(f64, f64, f64)> = committed_pairs("scaling")
+        .iter()
+        .map(|(_, r)| {
+            (
+                r.cpu_perf.unwrap(),
+                r.report.cc6_residency,
+                r.report.ssr_rate,
+            )
+        })
+        .collect();
+    let flat =
+        |v: &[(f64, f64, f64)]| bits(&v.iter().flat_map(|t| [t.0, t.1, t.2]).collect::<Vec<_>>());
+    assert_eq!(flat(&scaling), flat(&scaling_oracle()), "scaling rows");
+
+    let window = committed_pairs("coalesce_window");
+    let windows: Vec<u64> = window
+        .iter()
+        .map(|(c, _)| c.knobs.cfg.coalesce_window.as_nanos() / 1_000)
+        .collect();
+    assert_eq!(windows, [0, 2, 5, 9, 13]);
+    let rows: Vec<(f64, f64, f64)> = window
+        .iter()
+        .map(|(_, r)| {
+            (
+                r.cpu_perf.unwrap(),
+                r.report.ssr_rate / window[0].1.report.ssr_rate,
+                figures::interrupts_per_ssr(&r.report),
+            )
+        })
+        .collect();
+    assert_eq!(flat(&rows), flat(&window_oracle(&windows)), "window rows");
 }
 
 /// JSON-lines output of a real batch re-parses to the same floats
