@@ -129,9 +129,6 @@ pub struct SystemConfig {
     /// Core that single-core steering pins interrupts (and the bottom
     /// half) to.
     pub steer_target: CoreId,
-    /// Number of GPUs (1 in the paper; >1 projects the accelerator-rich
-    /// SoCs of its motivation).
-    pub num_gpus: usize,
     /// Period of the background OS scheduler tick on every core
     /// ([`Ns::ZERO`] disables it). A periodic (non-tickless) tick is what
     /// keeps even a quiet system below 100% CC6 residency — the paper's
@@ -156,7 +153,6 @@ impl SystemConfig {
             costs: HandlerCosts::default(),
             coalesce_window: Iommu::MAX_COALESCE_WINDOW,
             steer_target: CoreId(0),
-            num_gpus: 1,
             timer_tick: Ns::from_millis(2),
             tick_cost: Ns::from_micros(3),
             max_sim_time: Ns::from_secs(30),
@@ -200,7 +196,6 @@ mod tests {
         assert_eq!(c.num_cores, 4);
         assert!((c.cpu.freq_ghz - 3.7).abs() < 1e-12);
         assert_eq!(c.gpu.freq_mhz, 720);
-        assert_eq!(c.num_gpus, 1);
     }
 
     #[test]

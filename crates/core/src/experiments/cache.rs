@@ -19,8 +19,12 @@
 //!
 //! The key is the `Debug` rendering of [`SystemConfig`] (which
 //! round-trips every `f64` field exactly and covers the seed) plus the
-//! run kind and application names. Entries are a few kilobytes (traces
-//! are never cached); a full figures regeneration holds a few hundred.
+//! run kind and application names. Every cached kind runs under
+//! [`Mitigation::DEFAULT`](crate::Mitigation::DEFAULT), which never reads the coalescing window or
+//! the steering target, so the key resets those two fields: configs that
+//! differ only there share one entry. Entries are a few kilobytes
+//! (traces are never cached); a full figures regeneration holds a few
+//! hundred.
 // Sanctioned exemption (see lint.toml): the map is probed by key only,
 // never iterated, so hash order cannot reach any result.
 #![allow(clippy::disallowed_types)]
@@ -67,6 +71,14 @@ impl Kind {
 
 impl Key {
     fn new(cfg: &SystemConfig, kind: Kind, cpu_app: &str, gpu_app: &str) -> Self {
+        // Knobs only a mitigation reads: a default-mitigation run is the
+        // same whatever they hold.
+        let paper = SystemConfig::a10_7850k();
+        let cfg = SystemConfig {
+            coalesce_window: paper.coalesce_window,
+            steer_target: paper.steer_target,
+            ..*cfg
+        };
         Key {
             // Debug formatting round-trips f64 fields exactly, giving a
             // faithful fingerprint without requiring Hash/Eq on a struct
@@ -258,9 +270,7 @@ mod tests {
             .cpu_app("swaptions")
             .gpu_app_pinned("bfs")
             .run();
-        assert_eq!(cached.cpu_app_runtime, fresh.cpu_app_runtime);
-        assert_eq!(cached.elapsed, fresh.elapsed);
-        assert_eq!(cached.kernel.ssrs_serviced, fresh.kernel.ssrs_serviced);
+        assert_eq!(cached.metrics.to_json(), fresh.metrics.to_json());
     }
 
     #[test]
@@ -298,7 +308,37 @@ mod tests {
         let b = cache.gpu_idle_baseline(&other, "ubench");
         assert_eq!(cache.len(), 2);
         // Different seeds genuinely differ in outcome.
-        assert_ne!(a.kernel.ssrs_serviced, b.kernel.ssrs_serviced);
+        assert_ne!(
+            a.counter("kernel.ssrs_serviced"),
+            b.counter("kernel.ssrs_serviced")
+        );
+    }
+
+    /// The coalescing window and the steering target only act under a
+    /// mitigation, which no cached kind runs: configs that differ only
+    /// there share one entry (the `coalesce_window_us` and
+    /// `steer_target` axes reuse every baseline).
+    #[test]
+    fn knobs_no_cached_kind_reads_share_an_entry() {
+        let cache = BaselineCache::default();
+        let cfg = SystemConfig::a10_7850k();
+        let mut other = cfg;
+        other.coalesce_window = hiss_sim::Ns::from_micros(3);
+        other.steer_target = hiss_cpu::CoreId(2);
+        let a = cache.cpu_baseline(&cfg, "x264", "ubench");
+        let b = cache.cpu_baseline(&other, "x264", "ubench");
+        assert!(Arc::ptr_eq(&a, &b));
+        let a = cache.corun_default(&cfg, "x264", "ubench");
+        let b = cache.corun_default(&other, "x264", "ubench");
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(cache.miss_count(), 2);
+        assert_eq!(cache.len(), 2);
+        // The shared entry is what the other config simulates.
+        let fresh = ExperimentBuilder::new(other)
+            .cpu_app("x264")
+            .gpu_app("ubench")
+            .run();
+        assert_eq!(b.metrics.to_json(), fresh.metrics.to_json());
     }
 
     #[test]
@@ -327,8 +367,8 @@ mod tests {
         assert_eq!(store.hit_count(), 0);
 
         // Second process (fresh in-memory cache, same store): the run
-        // must come back from disk with byte-identical metrics and
-        // bit-exact scalar fields — no simulation.
+        // must come back from disk with byte-identical metrics — no
+        // simulation.
         let reader = BaselineCache::default();
         reader.attach_disk(Arc::new(DiskStore::open(&dir).expect("reopen store")));
         let loaded = reader.corun_default(&cfg, "x264", "ubench");
@@ -336,12 +376,6 @@ mod tests {
         assert_eq!(disk.hit_count(), 1);
         assert_eq!(disk.write_count(), 0);
         assert_eq!(loaded.metrics.to_json(), fresh.metrics.to_json());
-        assert_eq!(loaded.elapsed, fresh.elapsed);
-        assert_eq!(loaded.kernel.ssrs_serviced, fresh.kernel.ssrs_serviced);
-        assert_eq!(
-            loaded.gpu_throughput.to_bits(),
-            fresh.gpu_throughput.to_bits()
-        );
 
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }

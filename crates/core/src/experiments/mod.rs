@@ -86,10 +86,10 @@ mod tests {
         let cfg = SystemConfig::a10_7850k();
         let cache = BaselineCache::global();
         let base = cache.cpu_baseline(&cfg, "swaptions", "bfs");
-        assert_eq!(base.kernel.ssrs_serviced, 0);
-        assert!(base.cpu_app_runtime.is_some());
+        assert_eq!(base.counter("kernel.ssrs_serviced"), 0);
+        assert!(base.cpu_app_runtime().is_some());
         let idle = cache.gpu_idle_baseline(&cfg, "bfs");
-        assert!(idle.kernel.ssrs_serviced > 0);
-        assert!(idle.cpu_app_runtime.is_none());
+        assert!(idle.counter("kernel.ssrs_serviced") > 0);
+        assert!(idle.cpu_app_runtime().is_none());
     }
 }

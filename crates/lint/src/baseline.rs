@@ -116,7 +116,6 @@ mod tests {
                 r.counter("bench.cells", 1);
                 r.counter("bench.cell.x264-ubench-r0.events_pushed", 42);
                 r.counter("bench.total.events_pushed", 42);
-                r.gauge("bench.wall.t1.s", 0.25);
             }),
         );
         let diags = check_baseline("BENCH_BASELINE.json", &text);

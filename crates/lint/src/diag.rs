@@ -72,6 +72,9 @@ pub enum Code {
     /// The full or quick grid expands to more cells than the lint
     /// budget allows (or its size overflows).
     GridTooLarge,
+    /// A `cpu_perf` band over a grid with `idle` cells, whose
+    /// `cpu_perf` is always null: the band fails on every run.
+    IdleCpuPerfBand,
     /// An `[expect]` metric's registry mapping is missing from the
     /// `hiss-obs` schema.
     ExpectMetricNotInSchema,
@@ -130,6 +133,7 @@ impl Code {
         Code::RowsMismatch,
         Code::SteerTargetOutOfRange,
         Code::GridTooLarge,
+        Code::IdleCpuPerfBand,
         Code::ExpectMetricNotInSchema,
         Code::DocMetricNotInSchema,
         Code::BenchMetricNotInSchema,
@@ -162,6 +166,7 @@ impl Code {
             Code::RowsMismatch => "HL011",
             Code::SteerTargetOutOfRange => "HL012",
             Code::GridTooLarge => "HL013",
+            Code::IdleCpuPerfBand => "HL014",
             Code::ExpectMetricNotInSchema => "HL201",
             Code::DocMetricNotInSchema => "HL202",
             Code::BenchMetricNotInSchema => "HL203",

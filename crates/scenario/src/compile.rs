@@ -112,8 +112,16 @@ pub struct Column {
     /// one: `HL201` resolves it, `HL401` lifts its conservation laws to
     /// bands and `HL404` counts a band on it as coverage.
     pub schema: Option<&'static str>,
-    /// Reads the value from a row.
-    pub read: fn(&Row) -> Datum,
+    /// Reads the value from a row, given `schema` (empty when the
+    /// column has none).
+    pub read: fn(&Row, &str) -> Datum,
+}
+
+impl Column {
+    /// The column's value in `row`.
+    pub fn value(&self, row: &Row) -> Datum {
+        (self.read)(row, self.schema.unwrap_or_default())
+    }
 }
 
 /// Columns are one per key, and `read` pointers are not comparable.
@@ -127,7 +135,7 @@ const fn col(
     key: &'static str,
     stem: Option<&'static str>,
     schema: Option<&'static str>,
-    read: fn(&Row) -> Datum,
+    read: fn(&Row, &str) -> Datum,
 ) -> Column {
     Column {
         key,
@@ -137,56 +145,45 @@ const fn col(
     }
 }
 
+/// The run's counter at schema path `name`.
 fn counter(row: &Row, name: &str) -> Datum {
-    Int(row.report.metrics.counter_value(name).unwrap_or(0))
+    Int(row.report.counter(name))
+}
+
+/// The run's gauge at schema path `name`.
+fn gauge(row: &Row, name: &str) -> Datum {
+    Real(row.report.gauge(name))
 }
 
 /// Every result column after the cell coordinates, in row-JSON order.
-/// A new `[expect]` metric is one entry here.
+/// A new `[expect]` metric is one entry here; a counter or gauge column
+/// reads its schema path through `RunReport::counter` or `RunReport::gauge`.
 #[rustfmt::skip]
 pub const COLUMNS: &[Column] = &[
-    col("cpu_perf", Some("cpu_perf"), None, |r| r.cpu_perf.map_or(Null, Real)),
-    col("gpu_perf", Some("gpu_perf"), None, |r| Real(r.gpu_perf)),
-    col("cpu_runtime_ns", None, Some("run.cpu_app_runtime_ns"), |r| {
-        r.report.cpu_app_runtime.map_or(Null, |t| Int(t.as_nanos()))
+    col("cpu_perf", Some("cpu_perf"), None, |r, _| r.cpu_perf.map_or(Null, Real)),
+    col("gpu_perf", Some("gpu_perf"), None, |r, _| Real(r.gpu_perf)),
+    col("cpu_runtime_ns", None, Some("run.cpu_app_runtime_ns"), |r, _| {
+        r.report.cpu_app_runtime().map_or(Null, |t| Int(t.as_nanos()))
     }),
-    col("gpu_throughput", Some("gpu_throughput"), Some("run.gpu_throughput"), |r| {
-        Real(r.report.gpu_throughput)
-    }),
-    col("ssr_rate", Some("ssr_rate"), Some("run.ssr_rate"), |r| Real(r.report.ssr_rate)),
-    col("ssrs_serviced", None, Some("kernel.ssrs_serviced"), |r| {
-        Int(r.report.kernel.ssrs_serviced)
-    }),
+    col("gpu_throughput", Some("gpu_throughput"), Some("run.gpu_throughput"), gauge),
+    col("ssr_rate", Some("ssr_rate"), Some("run.ssr_rate"), gauge),
+    col("ssrs_serviced", None, Some("kernel.ssrs_serviced"), counter),
     // Mean and p99 are both read off the latency histogram.
-    col("mean_ssr_latency_us", Some("ssr_latency_us"), Some("kernel.latency"), |r| {
-        Real(r.report.kernel.mean_ssr_latency.as_micros_f64())
+    col("mean_ssr_latency_us", Some("ssr_latency_us"), Some("kernel.latency"), |r, _| {
+        Real(r.report.mean_ssr_latency().as_micros_f64())
     }),
-    col("p99_ssr_latency_us", Some("p99_latency_us"), Some("kernel.latency"), |r| {
-        Real(r.report.kernel.p99_ssr_latency.as_micros_f64())
+    col("p99_ssr_latency_us", Some("p99_latency_us"), Some("kernel.latency"), |r, _| {
+        Real(r.report.p99_ssr_latency().as_micros_f64())
     }),
-    col("cc6_residency", Some("cc6_residency"), Some("run.cc6_residency"), |r| {
-        Real(r.report.cc6_residency)
-    }),
-    col("ssr_overhead", Some("ssr_overhead"), Some("run.cpu_ssr_overhead"), |r| {
-        Real(r.report.cpu_ssr_overhead)
-    }),
-    col("ipis", Some("ipis"), Some("kernel.ipis"), |r| Int(r.report.kernel.ipis)),
-    col("qos_deferrals", Some("qos_deferrals"), Some("kernel.qos_deferrals"), |r| {
-        Int(r.report.kernel.qos_deferrals)
-    }),
-    col("aux_ssrs_raised", Some("aux_ssrs_raised"), Some("run.aux_ssrs_raised"), |r| {
-        counter(r, "run.aux_ssrs_raised")
-    }),
+    col("cc6_residency", Some("cc6_residency"), Some("run.cc6_residency"), gauge),
+    col("ssr_overhead", Some("ssr_overhead"), Some("run.cpu_ssr_overhead"), gauge),
+    col("ipis", Some("ipis"), Some("kernel.ipis"), counter),
+    col("qos_deferrals", Some("qos_deferrals"), Some("kernel.qos_deferrals"), counter),
+    col("aux_ssrs_raised", Some("aux_ssrs_raised"), Some("run.aux_ssrs_raised"), counter),
     col("critical_p99_latency_us", Some("critical_p99_latency_us"),
-        Some("qos.class0.p99_latency_us"), |r| {
-        Real(r.report.metrics.gauge_value("qos.class0.p99_latency_us").unwrap_or(0.0))
-    }),
-    col("events_pushed", Some("events_pushed"), Some("run.events_pushed"), |r| {
-        counter(r, "run.events_pushed")
-    }),
-    col("events_popped", Some("events_popped"), Some("run.events_popped"), |r| {
-        counter(r, "run.events_popped")
-    }),
+        Some("qos.class0.p99_latency_us"), gauge),
+    col("events_pushed", Some("events_pushed"), Some("run.events_pushed"), counter),
+    col("events_popped", Some("events_popped"), Some("run.events_popped"), counter),
 ];
 
 /// A run's GPU performance against `baseline` in the paper's figure
@@ -404,8 +401,7 @@ mod tests {
 
     /// A row's value in the column keyed `key`.
     fn value(row: &Row, key: &str) -> Datum {
-        let column = COLUMNS.iter().find(|c| c.key == key).unwrap();
-        (column.read)(row)
+        COLUMNS.iter().find(|c| c.key == key).unwrap().value(row)
     }
 
     /// `docs/SCENARIOS.md` documents every band stem in its `[expect]`

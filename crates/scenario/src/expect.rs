@@ -57,7 +57,7 @@ pub fn check_band(expect: &Expect, rows: &[Row], file: Option<&str>) -> Option<V
     };
     let mut values = Vec::with_capacity(rows.len());
     for row in rows {
-        match (expect.column.read)(row).as_f64() {
+        match expect.column.value(row).as_f64() {
             Some(v) => values.push(v),
             None => {
                 return violation(format!(
@@ -106,10 +106,17 @@ pub fn check(sc: &Scenario, rows: &[Row]) -> Vec<Violation> {
 mod tests {
     use super::*;
     use crate::spec::Scenario;
+    use hiss_obs::{HistogramSnapshot, MetricValue};
 
     fn row(cpu_perf: f64, p99_us: f64) -> Row {
         let mut run = hiss::RunReport::default();
-        run.kernel.p99_ssr_latency = hiss::Ns::from_nanos((p99_us * 1e3) as u64);
+        run.metrics.set(
+            "kernel.latency",
+            MetricValue::Histogram(HistogramSnapshot {
+                p99_ns: (p99_us * 1e3) as u64,
+                ..HistogramSnapshot::default()
+            }),
+        );
         crate::compile::test_row("x264", "ubench", Some(cpu_perf), 0.9, run)
     }
 

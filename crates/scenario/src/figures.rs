@@ -38,8 +38,8 @@ fn pct(x: f64) -> String {
 
 /// SSR interrupts per serviced SSR (1.0 = no batching).
 pub fn interrupts_per_ssr(run: &RunReport) -> f64 {
-    let interrupts: u64 = run.kernel.interrupts_per_core.iter().sum();
-    interrupts as f64 / run.kernel.ssrs_serviced.max(1) as f64
+    let interrupts = run.counter("kernel.interrupts.total");
+    interrupts as f64 / run.counter("kernel.ssrs_serviced").max(1) as f64
 }
 
 /// The row of `cell`'s pairing (CPU app, GPU app, replica) under
@@ -154,9 +154,10 @@ pub fn pollution(row: &Row) -> (f64, f64) {
     let spec = hiss_workloads::CpuAppSpec::by_name(&row.cpu_app)
         .expect("workload names were validated at parse time");
     let run = &row.report;
-    let l1d = run.avg_cache_coldness * spec.cache_sensitivity * K_CACHE / spec.base_l1d_miss_rate;
-    let branch =
-        run.avg_branch_coldness * spec.branch_sensitivity * K_BRANCH / spec.base_branch_miss_rate;
+    let l1d = run.gauge("run.avg_cache_coldness") * spec.cache_sensitivity * K_CACHE
+        / spec.base_l1d_miss_rate;
+    let branch = run.gauge("run.avg_branch_coldness") * spec.branch_sensitivity * K_BRANCH
+        / spec.base_branch_miss_rate;
     (l1d, branch)
 }
 
@@ -184,7 +185,10 @@ pub fn render_fig4(rows: &[Row]) -> String {
     let data: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
-            let (quiet, noisy) = (r.baseline.cc6_residency, r.report.cc6_residency);
+            let (quiet, noisy) = (
+                r.baseline.gauge("run.cc6_residency"),
+                r.report.gauge("run.cc6_residency"),
+            );
             vec![
                 r.gpu_app.clone(),
                 pct(quiet),
@@ -234,14 +238,14 @@ pub fn section4c(pairs: &[(Cell, Row)]) -> Option<Section4c> {
     let (_, ubench) = pairs
         .iter()
         .find(|(c, _)| c.gpu_app == "ubench" && c.knobs.mitigation == Mitigation::DEFAULT)?;
-    let counts = ubench.report.kernel.interrupts_per_core.clone();
+    let counts = ubench.report.interrupts_per_core();
     let max = counts.iter().max().copied().unwrap_or(0) as f64;
     let min = counts.iter().min().copied().unwrap_or(0) as f64;
     Some(Section4c {
         interrupt_imbalance: if min > 0.0 { max / min } else { f64::INFINITY },
         interrupts_per_core: counts,
-        ipis_with_ssrs: ubench.report.kernel.ipis,
-        ipis_without_ssrs: ubench.baseline.kernel.ipis,
+        ipis_with_ssrs: ubench.report.counter("kernel.ipis"),
+        ipis_without_ssrs: ubench.baseline.counter("kernel.ipis"),
         coalescing_reduction: hiss_sim::mean(&reductions),
     })
 }
@@ -413,16 +417,17 @@ pub fn render_fig9(pairs: &[(Cell, Row)]) -> String {
     let no_ssr = pairs.first().map(|(c, r)| {
         vec![
             format!("{}_no_SSR", c.gpu_app),
-            pct(r.baseline.cc6_residency),
+            pct(r.baseline.gauge("run.cc6_residency")),
         ]
     });
     let data: Vec<Vec<String>> = no_ssr
         .into_iter()
-        .chain(
-            pairs
-                .iter()
-                .map(|(c, r)| vec![c.knobs.mitigation.label(), pct(r.report.cc6_residency)]),
-        )
+        .chain(pairs.iter().map(|(c, r)| {
+            vec![
+                c.knobs.mitigation.label(),
+                pct(r.report.gauge("run.cc6_residency")),
+            ]
+        }))
         .collect();
     render_table(&["configuration", "CC6 residency"], &data)
 }
@@ -446,7 +451,7 @@ pub fn render_fig12(pairs: &[(Cell, Row)]) -> String {
                 throttle,
                 cell3(r.cpu_perf),
                 format!("{:.3}", r.gpu_perf),
-                pct(r.report.cpu_ssr_overhead),
+                pct(r.report.gauge("run.cpu_ssr_overhead")),
             ]
         })
         .collect();
@@ -472,8 +477,8 @@ pub fn render_scaling(pairs: &[(Cell, Row)]) -> String {
             vec![
                 c.knobs.gpus.to_string(),
                 cell3(r.cpu_perf),
-                pct(r.report.cc6_residency),
-                format!("{:.0}", r.report.ssr_rate),
+                pct(r.report.gauge("run.cc6_residency")),
+                format!("{:.0}", r.report.gauge("run.ssr_rate")),
             ]
         })
         .collect();
@@ -484,12 +489,14 @@ pub fn render_scaling(pairs: &[(Cell, Row)]) -> String {
 /// performance, the SSR rate relative to the first window's, and
 /// [`interrupts_per_ssr`].
 pub fn render_window_sweep(pairs: &[(Cell, Row)]) -> String {
-    let first = pairs.first().map_or(0.0, |(_, r)| r.report.ssr_rate);
+    let first = pairs
+        .first()
+        .map_or(0.0, |(_, r)| r.report.gauge("run.ssr_rate"));
     pairs
         .iter()
         .map(|(c, r)| {
             let ratio = if first > 0.0 {
-                r.report.ssr_rate / first
+                r.report.gauge("run.ssr_rate") / first
             } else {
                 0.0
             };
@@ -512,12 +519,10 @@ mod tests {
     use std::sync::Arc;
 
     fn row(cpu_app: &str, gpu_app: &str, cpu_perf: f64, gpu_perf: f64) -> Row {
-        let run = RunReport {
-            cpu_app_runtime: Some(Ns::from_nanos(1_000)),
-            gpu_throughput: 0.5,
-            ssr_rate: 1_000.0,
-            ..RunReport::default()
-        };
+        let mut run = RunReport::default();
+        run.metrics.counter("run.cpu_app_runtime_ns", 1_000);
+        run.metrics.gauge("run.gpu_throughput", 0.5);
+        run.metrics.gauge("run.ssr_rate", 1_000.0);
         test_row(cpu_app, gpu_app, Some(cpu_perf), gpu_perf, run)
     }
 
@@ -625,11 +630,13 @@ mod tests {
             ..Mitigation::DEFAULT
         };
         let mut treated = row("x264", "sssp", 0.5, 0.5);
-        let run = Arc::make_mut(&mut treated.report);
-        run.cpu_app_runtime = Some(Ns::from_nanos(800));
-        run.gpu_throughput = 0.25;
+        let run = &mut Arc::make_mut(&mut treated.report).metrics;
+        run.counter("run.cpu_app_runtime_ns", 800);
+        run.gauge("run.gpu_throughput", 0.25);
         let mut ubench = row("x264", "ubench", 0.5, 0.5);
-        Arc::make_mut(&mut ubench.report).ssr_rate = 3_000.0;
+        Arc::make_mut(&mut ubench.report)
+            .metrics
+            .gauge("run.ssr_rate", 3_000.0);
         let pairs = vec![
             pair(Mitigation::DEFAULT, row("x264", "sssp", 0.5, 0.5)),
             pair(Mitigation::DEFAULT, row("x264", "ubench", 0.5, 0.5)),
@@ -683,18 +690,23 @@ mod tests {
     /// A row with the given interrupt and SSR counts, and residency.
     fn kernel_row(gpu_app: &str, interrupts: [u64; 4], ssrs: u64, cc6: f64) -> Row {
         let mut r = row("idle", gpu_app, 0.0, 1.0);
-        let run = Arc::make_mut(&mut r.report);
-        run.kernel.interrupts_per_core = interrupts.to_vec();
-        run.kernel.ssrs_serviced = ssrs;
-        run.kernel.ipis = ssrs;
-        run.cc6_residency = cc6;
+        let run = &mut Arc::make_mut(&mut r.report).metrics;
+        for (core, n) in interrupts.into_iter().enumerate() {
+            run.counter(format!("kernel.interrupts.core{core}"), n);
+        }
+        run.counter("kernel.interrupts.total", interrupts.iter().sum());
+        run.counter("kernel.ssrs_serviced", ssrs);
+        run.counter("kernel.ipis", ssrs);
+        run.gauge("run.cc6_residency", cc6);
         r
     }
 
     #[test]
     fn fig4_shows_both_residencies_and_the_points_lost() {
         let mut r = kernel_row("ubench", [0; 4], 0, 0.12);
-        Arc::make_mut(&mut r.baseline).cc6_residency = 0.86;
+        Arc::make_mut(&mut r.baseline)
+            .metrics
+            .gauge("run.cc6_residency", 0.86);
         let text = render_fig4(&[r]);
         assert!(text.contains("86.0%"), "{text}");
         assert!(text.contains("12.0%"), "{text}");
@@ -738,7 +750,9 @@ mod tests {
             let mut knobs = Knobs::default();
             knobs.cfg.coalesce_window = Ns::from_micros(us);
             let mut r = kernel_row("ubench", [1, 1, 0, 0], 4, 0.0);
-            Arc::make_mut(&mut r.report).ssr_rate = rate;
+            Arc::make_mut(&mut r.report)
+                .metrics
+                .gauge("run.ssr_rate", rate);
             knob_pair(knobs, r)
         };
         let text = render_window_sweep(&[window(0, 100.0), window(13, 150.0)]);

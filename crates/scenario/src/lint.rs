@@ -1,4 +1,4 @@
-//! Scenario semantic lints (`HL000`–`HL013`, `HL201`, `HL401`): static
+//! Scenario semantic lints (`HL000`–`HL014`, `HL201`, `HL401`): static
 //! analysis of `.hiss` files with **no simulation executed**.
 //!
 //! Three layers run in order, stopping at the first that fails:
@@ -10,7 +10,7 @@
 //!    before anything expands them), degenerate or duplicated sweep
 //!    grids (reusing the [`crate::compile`] lowering in dry-run mode),
 //!    base keys a sweep axis shadows, pinned row counts that disagree
-//!    with the grid,
+//!    with the grid, `cpu_perf` bands over `idle` cells,
 //! 3. the metric-schema half-check: every `[expect]` metric's registry
 //!    mapping must exist in [`hiss_obs::schema`].
 //!
@@ -21,6 +21,7 @@ use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
+use hiss::IDLE_CPU;
 use hiss_lint::{Code, Diagnostic};
 
 use crate::compile::{Column, COLUMNS};
@@ -61,6 +62,7 @@ pub fn lint_text(file: &str, text: &str) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     check_row_selection(file, &doc, &sc, &mut diags);
     check_contradictory_bands(file, &sc, &mut diags);
+    check_idle_cpu_perf_bands(file, &sc, &mut diags);
     match (grid_rows(&sc, false), grid_rows(&sc, true)) {
         (Some(full), Some(quick)) if full.max(quick) <= MAX_GRID_CELLS => {
             check_sweep_axes(file, &sc, &mut diags);
@@ -137,6 +139,30 @@ fn check_contradictory_bands(file: &str, sc: &Scenario, out: &mut Vec<Diagnostic
                 ));
             }
         }
+    }
+}
+
+/// HL014 — a `cpu_perf` band over a grid whose full or quick CPU list
+/// holds [`IDLE_CPU`]: an idle cell runs no CPU application, so its
+/// `cpu_perf` is null and the band fails on every run of that mode.
+fn check_idle_cpu_perf_bands(file: &str, sc: &Scenario, out: &mut Vec<Diagnostic>) {
+    let Some((_, mode)) = [(false, "full"), (true, "quick")]
+        .into_iter()
+        .find(|&(quick, _)| sc.cpu_apps(quick).iter().any(|a| a == IDLE_CPU))
+    else {
+        return;
+    };
+    for expect in sc.expects.iter().filter(|e| e.column.key == "cpu_perf") {
+        out.push(Diagnostic::new(
+            Code::IdleCpuPerfBand,
+            Some(file),
+            expect.line,
+            format!(
+                "band `{}` can never hold: the {mode} grid has `{IDLE_CPU}` cells, which \
+                 run no CPU application and have no `cpu_perf`",
+                expect.key
+            ),
+        ));
     }
 }
 
@@ -681,6 +707,29 @@ quick_cpu = []
         assert_eq!(codes(&d), vec![Code::RowsMismatch]);
         assert!(d[0].msg.contains("4 rows"), "{}", d[0].msg);
         assert!(lint("[run]\nreplicas = 2\nrows = 4\n[sweep]\ngpus = [1, 2]\n").is_empty());
+    }
+
+    #[test]
+    fn cpu_perf_bands_over_idle_cells_lint_as_hl014_in_either_mode() {
+        let pack = |cpu: &str, quick: &str, band: &str| {
+            lint_text(
+                "t.hiss",
+                &format!(
+                    "[scenario]\nname = \"t\"\n[workload]\ncpu = {cpu}\ngpu = [\"ubench\"]\n\
+                     quick_cpu = {quick}\n[expect]\n{band} = [0.0, 1.0]\n"
+                ),
+            )
+        };
+        let all = r#"["idle", "x264"]"#;
+        let d = pack(all, r#"["x264"]"#, "min_cpu_perf");
+        assert_eq!(codes(&d), vec![Code::IdleCpuPerfBand]);
+        assert!(d[0].msg.contains("full grid"), "{}", d[0].msg);
+        let d = pack(r#"["x264"]"#, r#"["idle"]"#, "max_cpu_perf");
+        assert_eq!(codes(&d), vec![Code::IdleCpuPerfBand]);
+        assert!(d[0].msg.contains("quick grid"), "{}", d[0].msg);
+        // A GPU-side band holds on idle cells; no idle cell, no finding.
+        assert!(pack(all, all, "mean_gpu_perf").is_empty());
+        assert!(pack(r#"["x264"]"#, r#"["x264"]"#, "mean_cpu_perf").is_empty());
     }
 
     /// A sweep axis of `n` distinct values.

@@ -32,7 +32,7 @@ pub fn row_json(row: &Row) -> String {
     let _ = write!(out, ",\"replica\":{}", row.replica);
     for column in COLUMNS {
         let _ = write!(out, ",\"{}\":", column.key);
-        match (column.read)(row) {
+        match column.value(row) {
             Datum::Int(n) => {
                 let _ = write!(out, "{n}");
             }
@@ -84,10 +84,10 @@ pub fn to_table(rows: &[Row]) -> String {
         );
         row.push(format!("{:.3}", r.gpu_perf));
         let run = &r.report;
-        row.push(format!("{:.0}", run.ssr_rate));
-        row.push(format!("{:.1}", run.kernel.p99_ssr_latency.as_micros_f64()));
-        row.push(format!("{:.1}%", run.cc6_residency * 100.0));
-        row.push(format!("{:.2}%", run.cpu_ssr_overhead * 100.0));
+        row.push(format!("{:.0}", run.gauge("run.ssr_rate")));
+        row.push(format!("{:.1}", run.p99_ssr_latency().as_micros_f64()));
+        row.push(format!("{:.1}%", run.gauge("run.cc6_residency") * 100.0));
+        row.push(format!("{:.2}%", run.gauge("run.cpu_ssr_overhead") * 100.0));
         data.push(row);
     }
 
@@ -99,18 +99,24 @@ pub fn to_table(rows: &[Row]) -> String {
 mod tests {
     use super::*;
     use crate::compile::test_row;
-    use hiss::{Ns, RunReport};
+    use hiss::RunReport;
+    use hiss_obs::{HistogramSnapshot, MetricValue};
 
     fn row() -> Row {
-        let mut run = RunReport {
-            cpu_app_runtime: Some(Ns::from_nanos(123_456)),
-            gpu_throughput: 0.75,
-            ssr_rate: 42_000.0,
-            cc6_residency: 0.125,
-            cpu_ssr_overhead: 0.0625,
-            ..RunReport::default()
-        };
-        run.kernel.p99_ssr_latency = Ns::from_micros(99);
+        let mut run = RunReport::default();
+        let m = &mut run.metrics;
+        m.counter("run.cpu_app_runtime_ns", 123_456);
+        m.gauge("run.gpu_throughput", 0.75);
+        m.gauge("run.ssr_rate", 42_000.0);
+        m.gauge("run.cc6_residency", 0.125);
+        m.gauge("run.cpu_ssr_overhead", 0.0625);
+        m.set(
+            "kernel.latency",
+            MetricValue::Histogram(HistogramSnapshot {
+                p99_ns: 99_000,
+                ..HistogramSnapshot::default()
+            }),
+        );
         let mut r = test_row("x264", "ubench", Some(0.5625), 0.25, run);
         r.axes = vec![("qos_percent".into(), "5".into())];
         r

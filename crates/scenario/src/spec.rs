@@ -202,7 +202,6 @@ impl Field {
             Field::Gpus => {
                 let n = expect_int(value, key, line, 1, 64)?;
                 knobs.gpus = n as usize;
-                knobs.cfg.num_gpus = n as usize;
             }
             Field::Seed => {
                 let s = expect_int(value, key, line, 0, i64::MAX)?;
@@ -648,7 +647,6 @@ impl Scenario {
                 ));
             }
             base.gpus = t.gpu_count();
-            base.cfg.num_gpus = t.gpu_count();
         }
 
         // [criticality] — parsed after [workload]/[topology] (its app
@@ -1401,7 +1399,6 @@ gpu = ["ubench"]
         assert_eq!(t.render(), "gpu@-,nic@0,gpu@-,dma@3");
         // The device list fixes the GPU count on the base knobs.
         assert_eq!(sc.base.gpus, 2);
-        assert_eq!(sc.base.cfg.num_gpus, 2);
 
         // steer defaults to the shared policy for every device.
         let sc = Scenario::from_str(&with("[topology]\ndevices = [\"gpu\", \"nic\"]\n")).unwrap();

@@ -59,10 +59,9 @@
 //!
 //! `bench` is the performance-regression subsystem (`docs/BENCH.md`):
 //! `run` executes the suites and prints their deterministic work
-//! counters (stdout is byte-identical whatever `HISS_THREADS`; the
-//! informational wall-clock goes to stderr), `check` compares a fresh
-//! run against the committed `BENCH_BASELINE.json` and exits nonzero on
-//! any hard violation, and `update` rewrites the baseline, recording a
+//! counters (stdout is byte-identical whatever `HISS_THREADS`),
+//! `check` compares a fresh run against the committed
+//! `BENCH_BASELINE.json` and exits nonzero on any violation, and `update` rewrites the baseline, recording a
 //! mandatory `--reason`.
 //!
 //! Unknown flags are errors (with a nearest-match suggestion), never
@@ -173,30 +172,37 @@ fn print_report(r: &RunReport, json: bool) {
         println!("{}", report_json(r));
         return;
     }
-    println!("elapsed           : {}", r.elapsed);
-    if let Some(t) = r.cpu_app_runtime {
+    println!("elapsed           : {}", r.elapsed());
+    if let Some(t) = r.cpu_app_runtime() {
         println!("CPU app runtime   : {t}");
     }
-    println!("GPU throughput    : {:.3}", r.gpu_throughput);
-    println!("SSR rate          : {:.0}/s", r.ssr_rate);
-    println!("SSRs serviced     : {}", r.kernel.ssrs_serviced);
-    println!("mean SSR latency  : {}", r.kernel.mean_ssr_latency);
-    println!("p99 SSR latency   : {}", r.kernel.p99_ssr_latency);
-    println!("interrupts/core   : {:?}", r.kernel.interrupts_per_core);
-    println!("IPIs              : {}", r.kernel.ipis);
-    println!("QoS deferrals     : {}", r.kernel.qos_deferrals);
-    println!("CPU SSR overhead  : {:.2}%", r.cpu_ssr_overhead * 100.0);
-    println!("CC6 residency     : {:.1}%", r.cc6_residency * 100.0);
+    println!("GPU throughput    : {:.3}", r.gauge("run.gpu_throughput"));
+    println!("SSR rate          : {:.0}/s", r.gauge("run.ssr_rate"));
+    println!("SSRs serviced     : {}", r.counter("kernel.ssrs_serviced"));
+    println!("mean SSR latency  : {}", r.mean_ssr_latency());
+    println!("p99 SSR latency   : {}", r.p99_ssr_latency());
+    println!("interrupts/core   : {:?}", r.interrupts_per_core());
+    println!("IPIs              : {}", r.counter("kernel.ipis"));
+    println!("QoS deferrals     : {}", r.counter("kernel.qos_deferrals"));
+    println!(
+        "CPU SSR overhead  : {:.2}%",
+        r.gauge("run.cpu_ssr_overhead") * 100.0
+    );
+    println!(
+        "CC6 residency     : {:.1}%",
+        r.gauge("run.cc6_residency") * 100.0
+    );
     println!(
         "CPU energy        : {:.3} J ({:.2} W avg)",
-        r.energy.cpu_joules, r.energy.cpu_avg_watts
+        r.gauge("energy.cpu_joules"),
+        r.gauge("energy.cpu_avg_watts")
     );
 }
 
 /// Hand-rolled JSON encoding of the fields scripts typically plot.
 fn report_json(r: &RunReport) -> String {
     let runtime = r
-        .cpu_app_runtime
+        .cpu_app_runtime()
         .map(|t| t.as_nanos().to_string())
         .unwrap_or_else(|| "null".into());
     format!(
@@ -208,19 +214,19 @@ fn report_json(r: &RunReport) -> String {
             "\"ipis\":{},\"qos_deferrals\":{},\"cpu_ssr_overhead\":{:.6},",
             "\"cc6_residency\":{:.6},\"cpu_joules\":{:.6}}}"
         ),
-        r.elapsed.as_nanos(),
+        r.elapsed().as_nanos(),
         runtime,
-        r.gpu_throughput,
-        r.ssr_rate,
-        r.kernel.ssrs_serviced,
-        r.kernel.mean_ssr_latency.as_nanos(),
-        r.kernel.p99_ssr_latency.as_nanos(),
-        r.kernel.interrupts_per_core,
-        r.kernel.ipis,
-        r.kernel.qos_deferrals,
-        r.cpu_ssr_overhead,
-        r.cc6_residency,
-        r.energy.cpu_joules,
+        r.gauge("run.gpu_throughput"),
+        r.gauge("run.ssr_rate"),
+        r.counter("kernel.ssrs_serviced"),
+        r.mean_ssr_latency().as_nanos(),
+        r.p99_ssr_latency().as_nanos(),
+        r.interrupts_per_core(),
+        r.counter("kernel.ipis"),
+        r.counter("kernel.qos_deferrals"),
+        r.gauge("run.cpu_ssr_overhead"),
+        r.gauge("run.cc6_residency"),
+        r.gauge("energy.cpu_joules"),
     )
 }
 
@@ -485,19 +491,6 @@ fn lint_command(argv: Vec<String>) -> ExitCode {
     }
 }
 
-/// The deterministic view of a suite snapshot: everything except the
-/// `bench.wall.*` gauges. This is what `bench run` prints on stdout, so
-/// the report is byte-identical whatever `HISS_THREADS` is.
-fn deterministic_view(reg: &hiss::MetricsRegistry) -> hiss::MetricsRegistry {
-    let mut out = hiss::MetricsRegistry::new();
-    for (name, value) in reg.iter() {
-        if !name.starts_with("bench.wall.") {
-            out.set(name.to_string(), value.clone());
-        }
-    }
-    out
-}
-
 /// Fresh suite snapshots: loaded from a `--fresh` snapshot file when
 /// given (skipping re-simulation, e.g. in tests), executed otherwise.
 fn fresh_snapshots(args: &Args, root: &Path) -> Result<Vec<SuiteSnapshot>, String> {
@@ -561,26 +554,16 @@ fn bench_command(mut argv: Vec<String>) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            // stdout: deterministic counters only, in suite order.
+            // Deterministic counters only, in suite order: byte-identical
+            // whatever `HISS_THREADS` is.
             for (i, snap) in snaps.iter().enumerate() {
-                let det = deterministic_view(&snap.metrics);
                 if args.flag("--json") {
-                    print!("{}", det.to_jsonl());
+                    print!("{}", snap.metrics.to_jsonl());
                 } else {
                     if i > 0 {
                         println!();
                     }
-                    print!("{}", det.to_table());
-                }
-            }
-            // stderr: the informational wall-clock.
-            for snap in &snaps {
-                for (name, _) in snap.metrics.iter() {
-                    if let Some(wall) = snap.metrics.gauge_value(name) {
-                        if name.starts_with("bench.wall.") {
-                            eprintln!("{}: {name} = {wall:.3}s", snap.suite);
-                        }
-                    }
+                    print!("{}", snap.metrics.to_table());
                 }
             }
             if let Some(path) = args.value("--out") {
@@ -622,18 +605,13 @@ fn bench_command(mut argv: Vec<String>) -> ExitCode {
                     print!("{}", reg.to_table());
                 }
             }
-            let (violations, warnings, notes) = cmp.tallies();
             if cmp.passed() {
-                println!(
-                    "bench check: ok — {} suites vs {shown} \
-                     ({warnings} warning(s), {notes} note(s))",
-                    snaps.len()
-                );
+                println!("bench check: ok — {} suites vs {shown}", snaps.len());
                 ExitCode::SUCCESS
             } else {
                 println!(
-                    "bench check: {violations} violation(s), {warnings} warning(s), \
-                     {notes} note(s) vs {shown}"
+                    "bench check: {} violation(s) vs {shown}",
+                    cmp.findings.len()
                 );
                 ExitCode::FAILURE
             }
@@ -648,22 +626,13 @@ fn bench_command(mut argv: Vec<String>) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            let mut snaps = match fresh_snapshots(&args, &root) {
+            let snaps = match fresh_snapshots(&args, &root) {
                 Ok(s) => s,
                 Err(e) => {
                     eprintln!("{e}");
                     return ExitCode::FAILURE;
                 }
             };
-            // Keep wall entries for thread counts this run didn't
-            // measure, so one update doesn't drop the other reference.
-            if let Ok(old) = load_baseline(&baseline_path) {
-                for snap in &mut snaps {
-                    if let Some(prev) = old.suite(&snap.suite) {
-                        baseline::merge_missing_wall(&mut snap.metrics, &prev.metrics);
-                    }
-                }
-            }
             let text = baseline::render(&reason, &snaps);
             if let Err(e) = std::fs::write(&baseline_path, text) {
                 eprintln!("cannot write {}: {e}", baseline_path.display());
@@ -1272,5 +1241,54 @@ fn main() -> ExitCode {
             }
         },
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+
+    /// A report rebuilt from its registry alone (as the disk store
+    /// serves it) prints the same row JSON and the same `run --json`
+    /// line as the fresh report, for a default, a QoS, a `[topology]`
+    /// and an `idle` cell.
+    #[test]
+    fn stored_registries_print_what_fresh_reports_print() {
+        let pack = |cpu: &str, extra: &str| {
+            scenario::Scenario::from_str(&format!(
+                "[scenario]\nname = \"t\"\n[workload]\ncpu = [\"{cpu}\"]\n\
+                 gpu = [\"ubench\"]\n{extra}"
+            ))
+            .unwrap()
+        };
+        let packs = [
+            pack("x264", ""),
+            pack("x264", "[mitigation]\nqos_percent = 5\n"),
+            pack(
+                "x264",
+                "[topology]\ndevices = [\"gpu\", \"nic\"]\nsteer = [-1, 3]\n",
+            ),
+            pack(hiss::IDLE_CPU, ""),
+        ];
+        for sc in &packs {
+            for cell in scenario::expand(sc, false) {
+                let (fresh, run) = scenario::run_cell_report(&cell);
+                let stored = |r: &RunReport| Arc::new(RunReport::from_metrics(r.metrics.clone()));
+                let rebuilt = scenario::Row {
+                    report: stored(&fresh.report),
+                    baseline: stored(&fresh.baseline),
+                    ..fresh.clone()
+                };
+                assert_eq!(
+                    scenario::output::to_jsonl(std::slice::from_ref(&rebuilt)),
+                    scenario::output::to_jsonl(std::slice::from_ref(&fresh)),
+                    "{}×{}",
+                    cell.cpu_app,
+                    cell.gpu_app
+                );
+                assert_eq!(report_json(&stored(&run)), report_json(&run));
+            }
+        }
     }
 }

@@ -59,8 +59,8 @@ fn main() {
     for ((_, r), label) in pairs(GUARDED).iter().zip(["unprotected", "th_2"]) {
         println!(
             "  {label:<11}: SSR overhead {:.1}%, runtime {}",
-            r.report.cpu_ssr_overhead * 100.0,
-            r.report.cpu_app_runtime.expect("x264 finishes")
+            r.report.gauge("run.cpu_ssr_overhead") * 100.0,
+            r.report.cpu_app_runtime().expect("x264 finishes")
         );
     }
 }

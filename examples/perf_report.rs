@@ -14,8 +14,8 @@
 //! (events/second through push+pop), the substrate the hot-path tuning
 //! targets, and one instrumented engine run (`x264`+`ubench`, the bench
 //! engine-suite cell) reporting simulated events/second and allocator
-//! traffic per run — the wall-clock trend the warn-only `bench.wall.*`
-//! gauges record but cannot gate on — and the cost of one
+//! traffic per run — a wall-clock trend the deterministic bench gate
+//! cannot hold — and the cost of one
 //! conservation-law audit (`hiss_obs::invariants::audit`) of that
 //! run's finalized registry, which every simulated cell pays once.
 //!

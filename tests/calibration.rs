@@ -208,17 +208,19 @@ fn pack(name: &str) -> Vec<(Cell, Row)> {
 fn cc6_residency_collapse() {
     let rows: Vec<Row> = pack("fig4").into_iter().map(|(_, r)| r).collect();
     let get = |n: &str| rows.iter().find(|r| r.gpu_app == n).unwrap();
-    let lost = |n: &str| get(n).baseline.cc6_residency - get(n).report.cc6_residency;
+    let lost = |n: &str| {
+        get(n).baseline.gauge("run.cc6_residency") - get(n).report.gauge("run.cc6_residency")
+    };
     let ubench = get("ubench");
     assert!(
-        ubench.baseline.cc6_residency > 0.75,
+        ubench.baseline.gauge("run.cc6_residency") > 0.75,
         "no-SSR residency {} (paper: 0.86)",
-        ubench.baseline.cc6_residency
+        ubench.baseline.gauge("run.cc6_residency")
     );
     assert!(
-        ubench.report.cc6_residency < 0.30,
+        ubench.report.gauge("run.cc6_residency") < 0.30,
         "ubench SSR residency {} (paper: 0.12)",
-        ubench.report.cc6_residency
+        ubench.report.gauge("run.cc6_residency")
     );
     assert!(
         lost("bfs") < lost("sssp"),
@@ -235,9 +237,14 @@ fn cc6_residency_collapse() {
 fn ssrs_always_reduce_residency() {
     let rows: Vec<Row> = pack("fig4").into_iter().map(|(_, r)| r).collect();
     let get = |n: &str| rows.iter().find(|r| r.gpu_app == n).unwrap();
-    let lost = |n: &str| get(n).baseline.cc6_residency - get(n).report.cc6_residency;
+    let lost = |n: &str| {
+        get(n).baseline.gauge("run.cc6_residency") - get(n).report.gauge("run.cc6_residency")
+    };
     for r in &rows {
-        let (quiet, noisy) = (r.baseline.cc6_residency, r.report.cc6_residency);
+        let (quiet, noisy) = (
+            r.baseline.gauge("run.cc6_residency"),
+            r.report.gauge("run.cc6_residency"),
+        );
         assert!(r.cpu_perf.is_none(), "{}: idle CPUs run nothing", r.gpu_app);
         assert!(
             noisy < quiet,
@@ -304,16 +311,16 @@ fn measurements_match_paper_shape() {
 fn mitigations_recover_sleep_time() {
     let pairs = pack("fig9");
     assert_eq!(pairs.len(), 8);
-    let no_ssr = pairs[0].1.baseline.cc6_residency;
+    let no_ssr = pairs[0].1.baseline.gauge("run.cc6_residency");
     let (_, default) = pairs
         .iter()
         .find(|(c, _)| c.knobs.mitigation == Mitigation::DEFAULT)
         .unwrap();
-    let default = default.report.cc6_residency;
+    let default = default.report.gauge("run.cc6_residency");
     assert!(no_ssr > 0.7, "no_SSR residency {no_ssr}");
     assert!(default < no_ssr * 0.6, "default residency {default}");
     for (c, r) in &pairs {
-        let cc6 = r.report.cc6_residency;
+        let cc6 = r.report.gauge("run.cc6_residency");
         if c.knobs.mitigation.steer_single_core {
             assert!(
                 cc6 > default + 0.1,
@@ -335,7 +342,7 @@ fn more_gpus_mean_more_interference() {
     assert_eq!(rows.len(), 4);
     for w in rows.windows(2) {
         assert!(cpu_perf(&w[1]) < cpu_perf(&w[0]));
-        assert!(w[1].report.ssr_rate > w[0].report.ssr_rate);
+        assert!(w[1].report.gauge("run.ssr_rate") > w[0].report.gauge("run.ssr_rate"));
     }
     assert!(
         cpu_perf(&rows[2]) < cpu_perf(&rows[0]) - 0.02,
@@ -343,7 +350,7 @@ fn more_gpus_mean_more_interference() {
         cpu_perf(&rows[2]),
         cpu_perf(&rows[0])
     );
-    assert!(rows[2].report.ssr_rate > rows[0].report.ssr_rate * 1.5);
+    assert!(rows[2].report.gauge("run.ssr_rate") > rows[0].report.gauge("run.ssr_rate") * 1.5);
 }
 
 /// Beyond the paper (`coalesce_window.hiss`): a zero window sends one
@@ -388,7 +395,7 @@ fn monolithic_trade_off() {
         .gpu_app("ubench")
         .mitigation(mono)
         .run();
-    let gpu_gain = m.ssr_rate / def.ssr_rate;
+    let gpu_gain = m.gauge("run.ssr_rate") / def.gauge("run.ssr_rate");
     assert!(
         gpu_gain > 1.5,
         "monolithic ubench gain {gpu_gain} (paper: >2x)"
@@ -421,15 +428,15 @@ fn coalescing_trade_off() {
         .mitigation(coal)
         .run();
     assert!(
-        m.ssr_rate > def.ssr_rate * 1.1,
+        m.gauge("run.ssr_rate") > def.gauge("run.ssr_rate") * 1.1,
         "coalescing ubench rate {} vs {}",
-        m.ssr_rate,
-        def.ssr_rate
+        m.gauge("run.ssr_rate"),
+        def.gauge("run.ssr_rate")
     );
     assert!(
-        m.kernel.mean_batch > 1.3,
+        m.gauge("kernel.batch.mean") > 1.3,
         "batching {}",
-        m.kernel.mean_batch
+        m.gauge("kernel.batch.mean")
     );
     let base = ExperimentBuilder::new(c)
         .cpu_app("x264")
@@ -480,10 +487,10 @@ fn qos_threshold_sweep() {
     // driver enforces the limit periodically").
     for (_, r) in rows.iter().filter(|(p, _)| *p == 1.0) {
         assert!(
-            r.report.cpu_ssr_overhead < 0.05,
+            r.report.gauge("run.cpu_ssr_overhead") < 0.05,
             "{}: overhead {} far above th_1",
             r.cpu_app,
-            r.report.cpu_ssr_overhead
+            r.report.gauge("run.cpu_ssr_overhead")
         );
     }
 }
@@ -512,7 +519,7 @@ fn tighter_thresholds_trade_gpu_for_cpu() {
     // Monotonicity across the sweep.
     assert!(th1.gpu_perf <= th5.gpu_perf + 0.02);
     assert!(th5.gpu_perf <= th25.gpu_perf + 0.02);
-    let overhead = |r: &Row| r.report.cpu_ssr_overhead;
+    let overhead = |r: &Row| r.report.gauge("run.cpu_ssr_overhead");
     assert!(overhead(th1) <= overhead(th5) + 0.01);
     assert!(overhead(th5) <= overhead(th25) + 0.01);
 }
@@ -607,12 +614,12 @@ fn steering_recovers_sleep() {
         .mitigation(steer)
         .run();
     assert!(
-        s.cc6_residency > def.cc6_residency + 0.15,
+        s.gauge("run.cc6_residency") > def.gauge("run.cc6_residency") + 0.15,
         "steering should recover sleep: {} vs {}",
-        s.cc6_residency,
-        def.cc6_residency
+        s.gauge("run.cc6_residency"),
+        def.gauge("run.cc6_residency")
     );
-    assert_eq!(s.kernel.interrupts_per_core[1..].iter().sum::<u64>(), 0);
+    assert_eq!(s.interrupts_per_core()[1..].iter().sum::<u64>(), 0);
 }
 
 /// Normalised x264 performance under ubench with a recalibrated system
@@ -627,7 +634,7 @@ fn x264_under_ubench(c: SystemConfig) -> (f64, f64) {
         .cpu_app("x264")
         .gpu_app("ubench")
         .run();
-    (run.cpu_perf_vs(&base).unwrap(), run.ssr_rate)
+    (run.cpu_perf_vs(&base).unwrap(), run.gauge("run.ssr_rate"))
 }
 
 /// Calibration ablation: disabling µarchitectural pollution recovers
@@ -684,7 +691,7 @@ fn deeper_thresholds_trade_sleep_for_latency() {
         ExperimentBuilder::new(c)
             .gpu_app("sssp")
             .run()
-            .cc6_residency
+            .gauge("run.cc6_residency")
     };
     let (eager, lazy) = (residency(50), residency(1000));
     assert!(

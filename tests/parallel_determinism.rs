@@ -130,10 +130,10 @@ fn explicit_worker_counts_agree_on_simulation_results() {
             .gpu_app(gpu_app)
             .run();
         (
-            r.elapsed,
-            r.cpu_app_runtime,
-            r.kernel.ssrs_serviced,
-            r.kernel.ipis,
+            r.elapsed(),
+            r.cpu_app_runtime(),
+            r.counter("kernel.ssrs_serviced"),
+            r.counter("kernel.ipis"),
         )
     };
     let serial = run_jobs_on(1, cells.len(), job);

@@ -29,7 +29,7 @@ fn bits(rows: &[Row]) -> Vec<(String, String, u32, Option<u64>, u64, u64)> {
                 r.replica,
                 r.cpu_perf.map(f64::to_bits),
                 r.gpu_perf.to_bits(),
-                r.report.kernel.ssrs_serviced,
+                r.report.counter("kernel.ssrs_serviced"),
             )
         })
         .collect()

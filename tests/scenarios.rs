@@ -207,7 +207,10 @@ fn fig4_oracle(gpu_app: &str) -> (f64, f64) {
     let cfg = SystemConfig::a10_7850k();
     let quiet = ExperimentBuilder::new(cfg).gpu_app_pinned(gpu_app).run();
     let noisy = ExperimentBuilder::new(cfg).gpu_app(gpu_app).run();
-    (quiet.cc6_residency, noisy.cc6_residency)
+    (
+        quiet.gauge("run.cc6_residency"),
+        noisy.gauge("run.cc6_residency"),
+    )
 }
 
 /// Fig. 9 as its runner computed it: the pinned ubench's residency,
@@ -222,7 +225,7 @@ fn fig9_oracle() -> Vec<f64> {
             _ => b.gpu_app("ubench").mitigation(combos[i - 1]),
         }
         .run()
-        .cc6_residency
+        .gauge("run.cc6_residency")
     })
 }
 
@@ -248,8 +251,8 @@ fn section4c_oracle() -> Section4c {
         .gpu_app_pinned("ubench")
         .run();
     let rate = |r: &hiss::RunReport| {
-        let p: u64 = r.kernel.interrupts_per_core.iter().sum();
-        p as f64 / r.kernel.ssrs_serviced.max(1) as f64
+        let p: u64 = r.interrupts_per_core().iter().sum();
+        p as f64 / r.counter("kernel.ssrs_serviced").max(1) as f64
     };
     let reductions: Vec<f64> = hiss::par_map(&hiss::gpu_suite(), |app| {
         let (plain, coal) = (
@@ -261,14 +264,14 @@ fn section4c_oracle() -> Section4c {
     .into_iter()
     .flatten()
     .collect();
-    let counts = with_ssrs.kernel.interrupts_per_core.clone();
+    let counts = with_ssrs.interrupts_per_core();
     let max = *counts.iter().max().unwrap() as f64;
     let min = *counts.iter().min().unwrap() as f64;
     Section4c {
         interrupt_imbalance: max / min,
         interrupts_per_core: counts,
-        ipis_with_ssrs: with_ssrs.kernel.ipis,
-        ipis_without_ssrs: without_ssrs.kernel.ipis,
+        ipis_with_ssrs: with_ssrs.counter("kernel.ipis"),
+        ipis_without_ssrs: without_ssrs.counter("kernel.ipis"),
         coalescing_reduction: hiss_sim::mean(&reductions),
     }
 }
@@ -289,8 +292,8 @@ fn scaling_oracle() -> Vec<(f64, f64, f64)> {
         let run = b.run();
         (
             run.cpu_perf_vs(&base).unwrap(),
-            run.cc6_residency,
-            run.ssr_rate,
+            run.gauge("run.cc6_residency"),
+            run.gauge("run.ssr_rate"),
         )
     })
 }
@@ -318,11 +321,11 @@ fn window_oracle(windows_us: &[u64]) -> Vec<(f64, f64, f64)> {
     });
     runs.iter()
         .map(|run| {
-            let interrupts: u64 = run.kernel.interrupts_per_core.iter().sum();
+            let interrupts: u64 = run.interrupts_per_core().iter().sum();
             (
                 run.cpu_perf_vs(&base).unwrap(),
-                run.ssr_rate / runs[0].ssr_rate,
-                interrupts as f64 / run.kernel.ssrs_serviced.max(1) as f64,
+                run.gauge("run.ssr_rate") / runs[0].gauge("run.ssr_rate"),
+                interrupts as f64 / run.counter("kernel.ssrs_serviced").max(1) as f64,
             )
         })
         .collect()
@@ -340,7 +343,10 @@ fn idle_and_extension_packs_are_bit_identical_to_their_runners() {
     for (c, r) in &fig4 {
         let (quiet, noisy) = fig4_oracle(&c.gpu_app);
         assert_eq!(
-            bits(&[r.baseline.cc6_residency, r.report.cc6_residency]),
+            bits(&[
+                r.baseline.gauge("run.cc6_residency"),
+                r.report.gauge("run.cc6_residency")
+            ]),
             bits(&[quiet, noisy]),
             "fig4 {}",
             c.gpu_app
@@ -349,8 +355,11 @@ fn idle_and_extension_packs_are_bit_identical_to_their_runners() {
     assert_eq!(fig4.len(), 3);
 
     let fig9 = committed_pairs("fig9");
-    let mut bars = vec![fig9[0].1.baseline.cc6_residency];
-    bars.extend(fig9.iter().map(|(_, r)| r.report.cc6_residency));
+    let mut bars = vec![fig9[0].1.baseline.gauge("run.cc6_residency")];
+    bars.extend(
+        fig9.iter()
+            .map(|(_, r)| r.report.gauge("run.cc6_residency")),
+    );
     assert_eq!(bits(&bars), bits(&fig9_oracle()), "fig9 bars");
 
     let s4c = figures::section4c(&committed_pairs("section4c")).unwrap();
@@ -366,8 +375,8 @@ fn idle_and_extension_packs_are_bit_identical_to_their_runners() {
         .map(|(_, r)| {
             (
                 r.cpu_perf.unwrap(),
-                r.report.cc6_residency,
-                r.report.ssr_rate,
+                r.report.gauge("run.cc6_residency"),
+                r.report.gauge("run.ssr_rate"),
             )
         })
         .collect();
@@ -386,7 +395,7 @@ fn idle_and_extension_packs_are_bit_identical_to_their_runners() {
         .map(|(_, r)| {
             (
                 r.cpu_perf.unwrap(),
-                r.report.ssr_rate / window[0].1.report.ssr_rate,
+                r.report.gauge("run.ssr_rate") / window[0].1.report.gauge("run.ssr_rate"),
                 figures::interrupts_per_ssr(&r.report),
             )
         })
@@ -451,27 +460,47 @@ fn oracle_row_json(row: &Row) -> String {
     let _ = write!(out, ",\"cpu_perf\":{cpu_perf}");
     let _ = write!(out, ",\"gpu_perf\":{}", json_f64(row.gpu_perf));
     let runtime = run
-        .cpu_app_runtime
+        .cpu_app_runtime()
         .map(|t| t.as_nanos().to_string())
         .unwrap_or_else(|| "null".to_string());
     let _ = write!(out, ",\"cpu_runtime_ns\":{runtime}");
-    let _ = write!(out, ",\"gpu_throughput\":{}", json_f64(run.gpu_throughput));
-    let _ = write!(out, ",\"ssr_rate\":{}", json_f64(run.ssr_rate));
-    let _ = write!(out, ",\"ssrs_serviced\":{}", run.kernel.ssrs_serviced);
+    let _ = write!(
+        out,
+        ",\"gpu_throughput\":{}",
+        json_f64(run.gauge("run.gpu_throughput"))
+    );
+    let _ = write!(out, ",\"ssr_rate\":{}", json_f64(run.gauge("run.ssr_rate")));
+    let _ = write!(
+        out,
+        ",\"ssrs_serviced\":{}",
+        run.counter("kernel.ssrs_serviced")
+    );
     let _ = write!(
         out,
         ",\"mean_ssr_latency_us\":{}",
-        json_f64(run.kernel.mean_ssr_latency.as_micros_f64())
+        json_f64(run.mean_ssr_latency().as_micros_f64())
     );
     let _ = write!(
         out,
         ",\"p99_ssr_latency_us\":{}",
-        json_f64(run.kernel.p99_ssr_latency.as_micros_f64())
+        json_f64(run.p99_ssr_latency().as_micros_f64())
     );
-    let _ = write!(out, ",\"cc6_residency\":{}", json_f64(run.cc6_residency));
-    let _ = write!(out, ",\"ssr_overhead\":{}", json_f64(run.cpu_ssr_overhead));
-    let _ = write!(out, ",\"ipis\":{}", run.kernel.ipis);
-    let _ = write!(out, ",\"qos_deferrals\":{}", run.kernel.qos_deferrals);
+    let _ = write!(
+        out,
+        ",\"cc6_residency\":{}",
+        json_f64(run.gauge("run.cc6_residency"))
+    );
+    let _ = write!(
+        out,
+        ",\"ssr_overhead\":{}",
+        json_f64(run.gauge("run.cpu_ssr_overhead"))
+    );
+    let _ = write!(out, ",\"ipis\":{}", run.counter("kernel.ipis"));
+    let _ = write!(
+        out,
+        ",\"qos_deferrals\":{}",
+        run.counter("kernel.qos_deferrals")
+    );
     let _ = write!(
         out,
         ",\"aux_ssrs_raised\":{}",
@@ -527,7 +556,7 @@ fn table_driven_rows_match_the_field_by_field_oracle() {
     }
     let value = |i: usize, key: &str| {
         let column = COLUMNS.iter().find(|c| c.key == key).unwrap();
-        (column.read)(&cells[i].1)
+        column.value(&cells[i].1)
     };
     assert!(value(0, "ipis").as_f64() > Some(0.0));
     assert!(value(1, "qos_deferrals").as_f64() > Some(0.0));
